@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,11 +45,26 @@ EXIT_ASSUMPTION = 3
 EXIT_MAX_ITERS = 4
 EXIT_NUMERICAL = 5
 
-THREADS_ENV_VAR = "HINF_GCC_THREADS"
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _say(line: str) -> None:
+    """Print one line of the summary; a reader that has gone away (say,
+    `hinfgcc solve ... | head -2`) ends the summary, not the command."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point its descriptor at
+        # devnull so that flush cannot fail too
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _require(cond: bool, message: str):
@@ -147,7 +161,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
 
     settings = data.get("solver", {})
     _require(isinstance(settings, dict), "solver must be an object")
-    allowed = {"sigma", "tau", "eps", "max_iters", "parallel"}
+    allowed = {"sigma", "tau", "eps", "max_iters"}
     extra = set(settings) - allowed
     _require(not extra, f"unknown solver keys: {sorted(extra)}")
     return plant, spec, dict(settings)
@@ -173,18 +187,6 @@ def load_gain(path: str, plant: PlantModel):
     return gain, w, mu
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SchemaError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _solver_config(settings: dict, args) -> SolverConfig:
     merged = dict(settings)
     if args.sigma is not None:
@@ -195,11 +197,8 @@ def _solver_config(settings: dict, args) -> SolverConfig:
         merged["eps"] = args.eps
     if args.max_iters is not None:
         merged["max_iters"] = args.max_iters
-    if getattr(args, "parallel", None) is not None:
-        merged["parallel"] = args.parallel
-    parallel = bool(merged.pop("parallel", False))
     try:
-        return SolverConfig(parallel_projections=parallel, **merged)
+        return SolverConfig(**merged)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid solver settings: {exc}") from exc
 
@@ -212,16 +211,14 @@ def _vertex_rows(
     w: np.ndarray | None,
     mu: float | None,
     tol: float,
-    threads: int,
-    npts: int = verify_mod.DEFAULT_NPTS,
 ) -> list[dict]:
-    """Per-vertex margin + sweep peak (+ feasibility when W, mu are given)."""
+    """Per-vertex margin + H-infinity norm (+ feasibility when W, mu are given)."""
     feas = verify_mod.check_feasibility(ext, w, mu, tol) if w is not None and mu is not None else None
-
-    def one(i: int) -> dict:
+    rows = []
+    for i in range(vset.N):
         cl = verify_mod.closed_loop(plant, vset[i], gain, index=i)
         margin = verify_mod.stability_margin(cl)
-        sweep = verify_mod.hinf_sweep(cl, npts=npts) if margin < 0 else None
+        sweep = verify_mod.hinf_sweep(cl) if margin < 0 else None
         row = {
             "vertex": i,
             "stability_margin": margin,
@@ -232,13 +229,7 @@ def _vertex_rows(
         if feas is not None:
             row["theta1_max_eig"] = feas.per_vertex[i].theta1_max_eig
             row["feasible"] = feas.per_vertex[i].feasible
-        return row
-
-    if threads > 1 and vset.N > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(vset.N)))
-    else:
-        rows = [one(i) for i in range(vset.N)]
+        rows.append(row)
     return rows
 
 
@@ -271,11 +262,10 @@ def _pipeline(problem_path: str):
 def cmd_solve(args) -> int:
     plant, _, settings, vset, ext = _pipeline(args.problem)
     config = _solver_config(settings, args)
-    threads = _resolve_threads(args.threads)
     schur = build_schur(ext)
 
     t0 = time.perf_counter()
-    sol = solver_mod.solve(schur, config, threads=threads)
+    sol = solver_mod.solve(schur, config)
     wall = time.perf_counter() - t0
 
     out = args.out or "report.json"
@@ -295,7 +285,6 @@ def cmd_solve(args) -> int:
             "tau": config.tau,
             "eps": config.eps,
             "max_iters": config.max_iters,
-            "parallel": config.parallel_projections,
         },
         "history_csv": hist_path,
         "N": vset.N,
@@ -304,7 +293,7 @@ def cmd_solve(args) -> int:
         report["verification"] = {
             "feasibility_tol": args.tol,
             "vertices": _vertex_rows(
-                plant, vset, ext, sol.K_star, sol.W_star, sol.mu_star, args.tol, threads
+                plant, vset, ext, sol.K_star, sol.W_star, sol.mu_star, args.tol
             ),
         }
         rows = report["verification"]["vertices"]
@@ -312,12 +301,12 @@ def cmd_solve(args) -> int:
         report["verification"]["feasibility_passed"] = all(r["feasible"] for r in rows)
     _write_json(out, report)
 
-    print(f"status: {sol.status} after {sol.iters} iterations ({wall:.2f} s)")
+    _say(f"status: {sol.status} after {sol.iters} iterations ({wall:.2f} s)")
     if sol.gamma_star is not None:
-        print(f"gamma* = {sol.gamma_star:.6g} (mu* = {sol.mu_star:.6g})")
+        _say(f"gamma* = {sol.gamma_star:.6g} (mu* = {sol.mu_star:.6g})")
     if sol.K_star is not None:
-        print(f"K* = {np.array_str(sol.K_star, precision=6)}")
-    print(f"report: {out}\nhistory: {hist_path}")
+        _say(f"K* = {np.array_str(sol.K_star, precision=6)}")
+    _say(f"report: {out}\nhistory: {hist_path}")
     if sol.status == CONVERGED:
         return EXIT_OK
     if sol.status == MAX_ITERS:
@@ -328,8 +317,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     plant, _, _, vset, ext = _pipeline(args.problem)
     gain, w, mu = load_gain(args.gain, plant)
-    threads = _resolve_threads(args.threads)
-    rows = _vertex_rows(plant, vset, ext, gain, w, mu, args.tol, threads)
+    rows = _vertex_rows(plant, vset, ext, gain, w, mu, args.tol)
     report = {
         "K": gain.tolist(),
         "feasibility_tol": args.tol if w is not None else None,
@@ -344,14 +332,14 @@ def cmd_verify(args) -> int:
     out = args.out or "verify_report.json"
     _write_json(out, report)
     worst = max(rows, key=lambda r: r["stability_margin"])
-    print(f"vertices: {vset.N}, all stable: {report['all_stable']} "
+    _say(f"vertices: {vset.N}, all stable: {report['all_stable']} "
           f"(worst margin {worst['stability_margin']:.6g} at vertex {worst['vertex']})")
     if "feasibility_passed" in report:
-        print(f"feasibility at tol {args.tol:g}: {report['feasibility_passed']}")
+        _say(f"feasibility at tol {args.tol:g}: {report['feasibility_passed']}")
     peaks = [r["sweep_peak"] for r in rows if r["sweep_peak"] is not None]
     if peaks:
-        print(f"max sweep peak over stable vertices: {max(peaks):.6g}")
-    print(f"report: {out}")
+        _say(f"max H-infinity norm over stable vertices: {max(peaks):.6g}")
+    _say(f"report: {out}")
     return EXIT_OK
 
 
@@ -384,8 +372,8 @@ def cmd_simulate(args) -> int:
             for k, t in enumerate(resp.t):
                 fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in resp.states[j, k]) + "\n")
         paths.append(path)
-    print(f"simulated vertex {label} for {args.horizon} s at dt {args.dt}")
-    print("trajectories: " + ", ".join(paths))
+    _say(f"simulated vertex {label} for {args.horizon} s at dt {args.dt}")
+    _say("trajectories: " + ", ".join(paths))
     return EXIT_OK
 
 
@@ -405,22 +393,22 @@ def cmd_sweep(args) -> int:
         fh.write("omega_rad_s,sigma_max,sigma_max_db\n")
         for w_, s in zip(sweep.frequencies, sweep.sigma_max):
             fh.write(f"{_fmt(w_)},{_fmt(s)},{_fmt(20.0 * math.log10(s))}\n")
-    print(
+    _say(
         f"vertex {label}: peak {sweep.peak:.6g} "
         f"({20.0 * math.log10(sweep.peak):.4g} dB) at {sweep.peak_frequency:.6g} rad/s"
     )
-    print(f"csv: {out}")
+    _say(f"csv: {out}")
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     _, _, _, vset, _ = _pipeline(args.problem)
-    print(f"N = {vset.N}")
+    _say(f"N = {vset.N}")
     if args.full:
         for i, (ai, bi) in enumerate(vset):
-            print(f"vertex {i}:")
-            print("  A_i =", np.array_str(ai, precision=6).replace("\n", "\n        "))
-            print("  B2_i =", np.array_str(bi, precision=6).replace("\n", "\n         "))
+            _say(f"vertex {i}:")
+            _say("  A_i = " + np.array_str(ai, precision=6).replace("\n", "\n        "))
+            _say("  B2_i = " + np.array_str(bi, precision=6).replace("\n", "\n         "))
     return EXIT_OK
 
 
@@ -433,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("problem", help="problem JSON file")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: {THREADS_ENV_VAR} or logical cores)")
         p.add_argument("--out", default=None, help="output path")
 
     p_solve = sub.add_parser("solve", help="synthesize a gain and verify it")
@@ -443,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--tau", type=float, default=None)
     p_solve.add_argument("--eps", type=float, default=None)
     p_solve.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p_solve.add_argument("--parallel", dest="parallel", action="store_true", default=None)
-    p_solve.add_argument("--no-parallel", dest="parallel", action="store_false")
     p_solve.add_argument("--tol", type=float, default=1e-6,
                          help="feasibility tolerance for the verification table")
     p_solve.set_defaults(func=cmd_solve)

@@ -10,13 +10,12 @@ One iteration performs, in order:
   5. the four relative KKT residuals, whose maximum drives the stopping rule.
 
 All cross-vertex reductions are accumulated in fixed index order, so runs
-are reproducible whether or not the projections execute on a thread pool.
+are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -39,14 +38,13 @@ GAIN_COND_LIMIT = 1e12
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters: penalty sigma, step tau in (0, (1+sqrt 5)/2), stopping
-    tolerance eps, iteration cap, and whether Y projections use a thread pool.
+    tolerance eps and iteration cap.
     """
 
     sigma: float = 1.0
     tau: float = 1.618
     eps: float = 1e-4
     max_iters: int = 100_000
-    parallel_projections: bool = False
 
     def __post_init__(self):
         if not (self.sigma > 0):
@@ -163,28 +161,13 @@ def init(
     return SolverState(w=w0.copy(), mu=float(mu0), y=y0.copy(), z=z0.copy())
 
 
-def update_y(
-    state: SolverState,
-    schur: SchurData,
-    config: SolverConfig,
-    executor: ThreadPoolExecutor | None = None,
-) -> ConsensusVector:
-    """Project the shifted consensus blocks onto their cones.
-
-    The N + 2 projections are mutually independent; when an executor is
-    supplied the vertex blocks are projected in chunks on its workers and
-    reassembled in index order.
-    """
+def update_y(state: SolverState, schur: SchurData, config: SolverConfig) -> ConsensusVector:
+    """Project the shifted consensus blocks onto their cones; the N vertex
+    blocks go through one batched projection."""
     sigma = config.sigma
     ylast = kernels.project_nonneg(state.mu - state.z.ylast / sigma)
     target = eval_g_all(schur, state.w, state.mu) - state.z.yi / sigma
-    if executor is not None and schur.N > 1:
-        nchunk = executor._max_workers  # noqa: SLF001 - sizing only
-        pieces = np.array_split(target, min(nchunk, schur.N), axis=0)
-        parts = list(executor.map(kernels.project_psd_stack, pieces))
-        yi = np.concatenate(parts, axis=0)
-    else:
-        yi = kernels.project_psd_stack(target)
+    yi = kernels.project_psd_stack(target)
     y0 = kernels.project_psd(state.w - state.z.y0 / sigma)
     return ConsensusVector(y0, yi, ylast)
 
@@ -302,12 +285,7 @@ def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.linalg.solve(w1.T, w2).T
 
 
-def solve(
-    schur: SchurData,
-    config: SolverConfig,
-    start: tuple | None = None,
-    threads: int | None = None,
-) -> Solution:
+def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) -> Solution:
     """Run the ADMM loop until err < eps or the iteration cap.
 
     The residuals at the initial point are recorded as history row k = 0 but
@@ -317,38 +295,27 @@ def solve(
     """
     state = init(schur, config, start)
     status = MAX_ITERS
-    executor = None
-    if config.parallel_projections and schur.N > 1:
-        executor = ThreadPoolExecutor(max_workers=threads or None)
     prev_mu = state.mu
-    try:
-        err_w, err_mu, err_y, err_eq, err = residuals(state, schur)
-        state.history.append(
-            HistoryEntry(0, err_w, err_mu, err_y, err_eq, err, state.mu, 0.0)
-        )
-        for k in range(1, config.max_iters + 1):
-            try:
-                state.y = update_y(state, schur, config, executor)
-                mu_bar = backward_mu(state, schur, config)
-                state.w = update_w(state, schur, config, mu_bar)
-                state.mu = forward_mu(state, schur, config, state.w)
-                state.z = update_z(state, schur, config)
-                err_w, err_mu, err_y, err_eq, err = residuals(state, schur)
-            except (np.linalg.LinAlgError, NumericalError, SingularSystemError):
-                status = NUMERICAL_FAILURE
-                break
-            state.k = k
-            gap = err_eq * abs(state.mu - prev_mu)
-            prev_mu = state.mu
-            state.history.append(
-                HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu, gap)
-            )
-            if err < config.eps:
-                status = CONVERGED
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    err_w, err_mu, err_y, err_eq, err = residuals(state, schur)
+    state.history.append(HistoryEntry(0, err_w, err_mu, err_y, err_eq, err, state.mu, 0.0))
+    for k in range(1, config.max_iters + 1):
+        try:
+            state.y = update_y(state, schur, config)
+            mu_bar = backward_mu(state, schur, config)
+            state.w = update_w(state, schur, config, mu_bar)
+            state.mu = forward_mu(state, schur, config, state.w)
+            state.z = update_z(state, schur, config)
+            err_w, err_mu, err_y, err_eq, err = residuals(state, schur)
+        except (np.linalg.LinAlgError, NumericalError, SingularSystemError):
+            status = NUMERICAL_FAILURE
+            break
+        state.k = k
+        gap = err_eq * abs(state.mu - prev_mu)
+        prev_mu = state.mu
+        state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu, gap))
+        if err < config.eps:
+            status = CONVERGED
+            break
 
     n_from_r = schur.r - schur.p  # r = m + 2n and p = m + n
     m_dim = schur.p - n_from_r

@@ -2,21 +2,29 @@
 
 Everything here works from the closed-loop matrices and the original
 problem data only, so it cross-checks the solver rather than trusting it:
-spectral stability margins, an H-infinity norm estimate by frequency sweep
-with golden-section peak refinement, vertexwise feasibility of a candidate
-(W, mu) pair, and impulse-response simulation.
+spectral stability margins, the H-infinity norm of each closed loop,
+vertexwise feasibility of a candidate (W, mu) pair, and impulse-response
+simulation.
+
+The norm comes from the Hamiltonian level-set iteration, not from a
+frequency grid, so it cannot miss a narrow resonance or a peak at DC: the
+reported peak is a gain attained at `peak_frequency` (0 for a DC peak) and
+the norm exceeds it by at most a factor 1 + 2 NORM_RTOL. The log-spaced
+frequency curve of a sweep is evaluated only when it is read, which only
+the `sweep` command's CSV and the tests do.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 from .model import PlantModel
 from .problem import ExtendedMatrices, eval_theta1
 
@@ -25,7 +33,16 @@ DEFAULT_FMIN = 1e-3
 DEFAULT_FMAX = 1e4
 DEFAULT_NPTS = 2000
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# hinf_sweep's norm of a Hurwitz loop is an attained gain `peak` with
+# peak <= norm <= (1 + 2 NORM_RTOL) peak.
+NORM_RTOL = 1e-10
+# A Hamiltonian eigenvalue counts as imaginary when its real part is below
+# this share of the matrix's largest entry. Rounding moves a near-double
+# imaginary eigenvalue off the axis by about sqrt(machine eps) ~ 1e-8 of
+# the scale, while a level 2 NORM_RTOL above the peak leaves it ~1e-5 off.
+_IMAG_AXIS_TOL = 1e-7
+# The iteration converges quadratically; a handful of passes is typical.
+_MAX_LEVEL_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -61,20 +78,28 @@ def stability_margin(cl: ClosedLoop) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    frequencies: np.ndarray
-    sigma_max: np.ndarray
+    """Peak gain of one closed loop and, on demand, its frequency curve.
+
+    For a Hurwitz loop `peak` is the H-infinity norm to NORM_RTOL and the
+    curve over the log-spaced grid (fmin, fmax, npts) is evaluated only when
+    `frequencies` or `sigma_max` is first read. For any other loop the curve
+    is evaluated by hinf_sweep itself and `peak` is its maximum.
+    """
+
     peak: float
     peak_frequency: float
+    cl: ClosedLoop = field(repr=False)
+    fmin: float
+    fmax: float
+    npts: int
 
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        return np.logspace(math.log10(self.fmin), math.log10(self.fmax), self.npts)
 
-def _gain_at(cl: ClosedLoop, omega: float) -> float:
-    n = cl.ac.shape[0]
-    try:
-        h = cl.cc @ np.linalg.solve(1j * omega * np.eye(n) - cl.ac, cl.b1)
-    except np.linalg.LinAlgError:
-        # jw hit an eigenvalue exactly; impossible for a stable loop
-        return 0.0
-    return kernels.max_singular_value(h)
+    @cached_property
+    def sigma_max(self) -> np.ndarray:
+        return _gain_grid(self.cl, self.frequencies)
 
 
 def _gain_grid(cl: ClosedLoop, omegas: np.ndarray) -> np.ndarray:
@@ -97,27 +122,79 @@ def _gain_grid(cl: ClosedLoop, omegas: np.ndarray) -> np.ndarray:
     return np.linalg.svd(cl.cc @ resolvent, compute_uv=False)[:, 0]
 
 
+def _hinf_norm(cl: ClosedLoop, poles: np.ndarray) -> tuple[float, float]:
+    """Level-set iteration for a Hurwitz loop: (attained peak, its frequency).
+
+    gamma is a singular value of G(jw) exactly when jw is an eigenvalue of
+    the Hamiltonian [[A, B B^T / gamma^2], [-C^T C, -A^T]]. Each pass puts
+    the level just above the best attained gain, reads the frequencies where
+    the response crosses it and evaluates the gain at the midpoints between
+    them, each interval between crossings lying wholly above or below the
+    level. It stops when no crossing is left or none of them raises the gain.
+    """
+    ac, b1, cc = cl.ac, cl.b1, cl.cc
+    bbt = b1 @ b1.T
+    ctc = cc.T @ cc
+    # peaks sit at DC or near the pole frequencies
+    trial = np.concatenate(([0.0], np.abs(poles), np.abs(poles.imag)))
+    gains = _gain_grid(cl, trial)
+    k = int(gains.argmax())
+    best, best_freq = float(gains[k]), float(trial[k])
+    if best == 0.0:
+        return 0.0, 0.0
+    for _ in range(_MAX_LEVEL_PASSES):
+        gamma = (1.0 + 2.0 * NORM_RTOL) * best
+        ham = np.block([[ac, bbt / gamma**2], [-ctc, -ac.T]])
+        eig = kernels.eig_general(ham)
+        on_axis = np.abs(eig.real) < _IMAG_AXIS_TOL * np.abs(ham).max()
+        crossings = np.sort(eig.imag[on_axis])
+        if crossings.size == 0:
+            return best, best_freq
+        mids = np.abs(0.5 * (crossings[:-1] + crossings[1:]) if crossings.size > 1 else crossings)
+        gains = _gain_grid(cl, mids)
+        k = int(gains.argmax())
+        if not gains[k] > best:
+            return best, best_freq
+        best, best_freq = float(gains[k]), float(mids[k])
+    raise NumericalError(
+        f"H-infinity level-set iteration did not converge in {_MAX_LEVEL_PASSES} passes"
+    )
+
+
 def hinf_sweep(
     cl: ClosedLoop,
     fmin: float = DEFAULT_FMIN,
     fmax: float = DEFAULT_FMAX,
     npts: int = DEFAULT_NPTS,
 ) -> SweepResult:
-    """Largest singular value of the disturbance-to-output response vs omega.
+    """Peak of the largest singular value of the disturbance-to-output
+    response over frequency.
 
-    Evaluates a log-spaced grid and refines the peak by golden-section
-    search on log-frequency around the grid maximizer. For a stable closed
-    loop the refined peak estimates the H-infinity norm; for an unstable one
-    a warning is emitted and the peak is just the sweep maximum.
+    For a Hurwitz closed loop the peak is the H-infinity norm, computed by
+    the Hamiltonian level-set iteration (Boyd-Balakrishnan; Bruinsma-
+    Steinbuch, Syst. Control Lett. 1990): `peak` is a gain attained at
+    `peak_frequency` (which may be 0, a peak at DC) and the norm lies in
+    [peak, (1 + 2 NORM_RTOL) peak]. The log-spaced grid over [fmin, fmax]
+    is not used for the norm; it is evaluated only when the curve
+    (`frequencies`, `sigma_max`) is read. Raises NumericalError when the
+    iteration does not converge.
+
+    An unstable or marginal loop has no H-infinity norm: a warning is
+    emitted, the grid is evaluated at once (points where the pencil is
+    singular are dropped with a warning) and the peak is the grid maximum.
     """
     if not (0 < fmin < fmax) or npts < 2:
         raise DimensionError("need 0 < fmin < fmax and npts >= 2")
-    if stability_margin(cl) >= 0:
-        warnings.warn(
-            "closed loop is not asymptotically stable; sweep peak is not an "
-            "H-infinity norm",
-            stacklevel=2,
-        )
+    poles = kernels.eig_general(cl.ac)
+    if poles.real.max() < 0:
+        peak, peak_freq = _hinf_norm(cl, poles)
+        return SweepResult(peak, peak_freq, cl, fmin, fmax, npts)
+
+    warnings.warn(
+        "closed loop is not asymptotically stable; sweep peak is not an "
+        "H-infinity norm",
+        stacklevel=2,
+    )
     omegas = np.logspace(math.log10(fmin), math.log10(fmax), npts)
     values = _gain_grid(cl, omegas)
     singular = ~np.isfinite(values)
@@ -128,34 +205,11 @@ def hinf_sweep(
         )
         omegas = omegas[~singular]
         values = values[~singular]
-
     imax = int(values.argmax())
-    peak = float(values[imax])
-    peak_freq = float(omegas[imax])
-
-    # golden-section refinement on log10(omega) between the grid neighbors
-    lo = math.log10(omegas[max(imax - 1, 0)])
-    hi = math.log10(omegas[min(imax + 1, omegas.size - 1)])
-    if hi > lo:
-        a, b = lo, hi
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = _gain_at(cl, 10.0**c)
-        fd = _gain_at(cl, 10.0**d)
-        for _ in range(60):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = _gain_at(cl, 10.0**c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = _gain_at(cl, 10.0**d)
-            best, best_x = (fc, c) if fc > fd else (fd, d)
-            if best > peak:
-                peak = float(best)
-                peak_freq = float(10.0**best_x)
-    return SweepResult(frequencies=omegas, sigma_max=values, peak=peak, peak_frequency=peak_freq)
+    result = SweepResult(float(values[imax]), float(omegas[imax]), cl, fmin, fmax, npts)
+    # hand the curve already built to the cached properties
+    result.__dict__.update(frequencies=omegas, sigma_max=values)
+    return result
 
 
 @dataclass(frozen=True)
@@ -208,8 +262,14 @@ def certified_attenuation(
     The stability block is affine and monotone nondecreasing in mu (its mu
     coefficient B1 B1^T is PSD), so the largest feasible mu is found by
     bisection; the feasible end of the bracket is returned so the certificate
-    never overstates mu. Returns None when even mu -> 0+ is infeasible.
+    never overstates mu. Returns None when the state block W1 of W is not
+    positive definite (the bounded real lemma needs W1 > 0, and without it
+    the gain W encodes may destabilize the plant) or when even mu -> 0+ is
+    infeasible.
     """
+    n = ext.n
+    if not float(kernels.sym_eig(w[:n, :n]).eigenvalues[-1]) > 0.0:
+        return None
 
     def worst(mu: float) -> float:
         return max(

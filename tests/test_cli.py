@@ -107,6 +107,36 @@ class TestSolveCommand:
         path = write_json(tmp_path / "badunc.json", bad)
         assert cli.main(["solve", path]) == 2
 
+    def test_parallel_solver_key_rejected(self, tmp_path, capsys):
+        bad = dict(TOY_PROBLEM)
+        bad["solver"] = {**TOY_PROBLEM["solver"], "parallel": True}
+        path = write_json(tmp_path / "parallel.json", bad)
+        assert cli.main(["solve", path]) == 2
+        assert "unknown solver keys: ['parallel']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("extra", "status", "code"), [
+        ([], "converged", 0),
+        (["--max-iters", "3"], "max-iters", 4),
+    ])
+    def test_closed_stdout_keeps_report_and_exit_code(
+        self, toy_file, in_tmp, monkeypatch, extra, status, code
+    ):
+        # `hinfgcc solve ... | head -2`: the reader goes away mid-summary
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        out = in_tmp / "piped.json"
+        assert cli.main(["solve", toy_file, "--out", str(out), *extra]) == code
+        report = json.loads(out.read_text())
+        assert report["status"] == status
+        assert "verification" in report
+        assert (in_tmp / "piped_history.csv").exists()
+
 
 class TestVerifyCommand:
     def test_published_gain_passes(self, in_tmp, tmp_path):
@@ -262,18 +292,3 @@ class TestEnumerateCommand:
             },
         )
         assert cli.main(["enumerate", problem]) == 2
-
-
-class TestThreadsResolution:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-        assert cli._resolve_threads(None) == 3
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-        assert cli._resolve_threads(8) == 8
-
-    def test_invalid_env_rejected(self, monkeypatch, toy_file):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "many")
-        assert cli.main(["enumerate", toy_file]) == 0  # enumerate ignores threads
-        assert cli.main(["solve", toy_file]) == 2

@@ -350,18 +350,6 @@ class TestSolveToy:
         b = hg.solve(toy.schur, cfg)
         assert [tuple(h) for h in a.history] == [tuple(h) for h in b.history]
 
-    def test_parallel_projections_match_serial(self, example2):
-        serial = hg.solve(example2.schur, hg.SolverConfig(sigma=0.1, tau=0.618, eps=5e-3))
-        par = hg.solve(
-            example2.schur,
-            hg.SolverConfig(sigma=0.1, tau=0.618, eps=5e-3, parallel_projections=True),
-            threads=4,
-        )
-        assert serial.iters == par.iters
-        for ha, hb in zip(serial.history, par.history):
-            assert abs(ha.err - hb.err) <= 1e-12
-            assert abs(ha.mu - hb.mu) <= 1e-12
-
     def test_max_iters_status(self, toy):
         sol = hg.solve(toy.schur, hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-14, max_iters=5))
         assert sol.status == hg.MAX_ITERS

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hinfgcc as hg
+from hinfgcc import verify
 from hinfgcc.verify import ClosedLoop
 
 from conftest import (
@@ -41,6 +44,46 @@ class TestClosedLoop:
         plant = make_toy_plant()
         with pytest.raises(hg.DimensionError):
             hg.closed_loop(plant, (plant.A, plant.B2), np.zeros((2, 2)))
+
+
+def sigma_max_at(cl: ClosedLoop, omega: float) -> float:
+    """Largest singular value of C (j omega I - A)^-1 B, one point at a time."""
+    n = cl.ac.shape[0]
+    resp = cl.cc @ np.linalg.solve(1j * omega * np.eye(n) - cl.ac, cl.b1)
+    return float(np.linalg.svd(resp, compute_uv=False)[0])
+
+
+def second_order_mode(wn: float, zeta: float, gain: float):
+    """(A, B, C) of gain * wn^2 / (s^2 + 2 zeta wn s + wn^2)."""
+    a = np.array([[0.0, 1.0], [-wn**2, -2.0 * zeta * wn]])
+    return a, np.array([[0.0], [1.0]]), np.array([[gain * wn**2, 0.0]])
+
+
+def two_mode_loop() -> ClosedLoop:
+    """A resonance at 1 rad/s with peak 50 and a far narrower one at
+    10.0123 rad/s with peak 100, whose half-power width (2e-4 rad/s) is a
+    thousandth of the default grid spacing there."""
+    a1, b1, c1 = second_order_mode(1.0, 0.01, 1.0)
+    a2, b2, c2 = second_order_mode(10.0123, 1e-5, 0.002)
+    ac = np.block([[a1, np.zeros((2, 2))], [np.zeros((2, 2)), a2]])
+    return ClosedLoop(ac=ac, cc=np.hstack([c1, c2]), b1=np.vstack([b1, b2]))
+
+
+def golden_max(f, lo: float, hi: float, steps: int = 120) -> float:
+    """Maximum of a unimodal f on [lo, hi] by golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return max(fc, fd)
 
 
 class TestStabilityMargin:
@@ -132,6 +175,85 @@ class TestHinfSweep:
             hg.hinf_sweep(cl, fmin=1.0, fmax=0.1)
 
 
+class TestHinfNorm:
+    """hinf_sweep's peak of a Hurwitz loop is the H-infinity norm."""
+
+    def test_narrow_resonance_between_grid_points(self):
+        cl = two_mode_loop()
+        # the narrow mode is unimodal on this bracket, so the search is exact
+        exact = golden_max(lambda w: sigma_max_at(cl, w), 10.0122, 10.0124)
+        assert exact == pytest.approx(100.0000212, abs=1e-7)
+        sweep = hg.hinf_sweep(cl)
+        assert sweep.peak == pytest.approx(exact, rel=1e-9)
+        assert sweep.peak_frequency == pytest.approx(10.0123, rel=1e-6)
+        # the default grid alone reads only the broad mode
+        assert sweep.sigma_max.max() < 51.0
+
+    def test_dc_peak_of_scalar_toy(self):
+        plant = make_toy_plant()
+        sweep = hg.hinf_sweep(hg.closed_loop(plant, (plant.A, plant.B2), [[1.0]]))
+        assert sweep.peak_frequency == 0.0
+        assert sweep.peak == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
+
+    def test_dc_peak_of_worst_uncertain_vertex(self, example2, example2_published_solution):
+        # vertex 195 peaks at DC, below the grid's first point at 1e-3 rad/s
+        cl = hg.closed_loop(
+            example2.plant, example2.vset[195], example2_published_solution.K_star, 195
+        )
+        sweep = hg.hinf_sweep(cl)
+        assert sweep.peak_frequency == 0.0
+        assert sweep.peak == pytest.approx(sigma_max_at(cl, 0.0), rel=1e-12)
+        assert sweep.peak == pytest.approx(6.0594687, abs=1e-7)
+
+    @pytest.mark.parametrize("loop", ["two-mode", "aircraft", "toy"])
+    def test_peak_is_attained_at_peak_frequency(self, loop):
+        if loop == "two-mode":
+            cl = two_mode_loop()
+        elif loop == "aircraft":
+            plant = make_example1_plant()
+            cl = hg.closed_loop(plant, (plant.A, plant.B2), PUBLISHED_EX1["K_star"])
+        else:
+            plant = make_toy_plant()
+            cl = hg.closed_loop(plant, (plant.A, plant.B2), [[1.0]])
+        sweep = hg.hinf_sweep(cl)
+        assert sigma_max_at(cl, sweep.peak_frequency) == pytest.approx(sweep.peak, rel=1e-12)
+
+    def test_curve_is_built_only_when_read(self):
+        sweep = hg.hinf_sweep(two_mode_loop(), npts=50)
+        assert "frequencies" not in vars(sweep) and "sigma_max" not in vars(sweep)
+        assert sweep.sigma_max.shape == sweep.frequencies.shape == (50,)
+        assert sweep.frequencies[0] == pytest.approx(verify.DEFAULT_FMIN)
+
+    def test_no_convergence_is_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(verify, "_MAX_LEVEL_PASSES", 0)
+        with pytest.raises(hg.NumericalError):
+            hg.hinf_sweep(two_mode_loop())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        inputs=st.integers(1, 3),
+        outputs=st.integers(1, 3),
+        margin=st.floats(1e-3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_peak_bounds_its_own_grid(self, n, inputs, outputs, margin, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+        # shift the spectrum so that its abscissa is exactly -margin
+        ac = m - (np.linalg.eigvals(m).real.max() + margin) * np.eye(n)
+        cl = ClosedLoop(
+            ac=ac,
+            cc=rng.standard_normal((outputs, n)),
+            b1=rng.standard_normal((n, inputs)),
+        )
+        if hg.stability_margin(cl) >= 0:  # rounding of the shift
+            return
+        sweep = hg.hinf_sweep(cl)
+        assert sweep.peak >= (1 - 1e-9) * sweep.sigma_max.max()
+        assert sigma_max_at(cl, sweep.peak_frequency) == pytest.approx(sweep.peak, rel=1e-12)
+
+
 class TestCheckFeasibility:
     def test_toy_optimum_is_exactly_feasible(self, toy):
         w_star = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -172,6 +294,12 @@ class TestCertifiedAttenuation:
         mu_c, _ = hg.certified_attenuation(toy.ext, toy_solution.W_star)
         report = hg.check_feasibility(toy.ext, toy_solution.W_star, mu_c, tol=1e-9)
         assert all(v.feasible for v in report.per_vertex)
+
+    def test_indefinite_state_block_returns_none(self, toy):
+        # W encodes K = W2 / W1 = -10, which puts the closed-loop pole at +9;
+        # the stability block alone is negative for small mu
+        w = np.array([[-0.1, 1.0], [1.0, 0.5]])
+        assert hg.certified_attenuation(toy.ext, w) is None
 
     def test_infeasible_w_returns_none(self, toy):
         # W = 0 forces the stability block to mu * B1 B1^T which is never <= 0
