@@ -50,6 +50,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _db(gain: float) -> float:
+    """20 log10 of a gain; -inf for a loop with zero response."""
+    return 20.0 * math.log10(gain) if gain > 0.0 else -math.inf
+
+
 def _say(line: str) -> None:
     """Print one line of the summary; a reader that has gone away (say,
     `hinfgcc solve ... | head -2`) ends the summary, not the command."""
@@ -224,7 +229,8 @@ def _vertex_rows(
             "stability_margin": margin,
             "stable": margin < 0,
             "sweep_peak": sweep.peak if sweep else None,
-            "sweep_peak_db": 20.0 * math.log10(sweep.peak) if sweep else None,
+            # JSON has no -inf: a zero peak reads null
+            "sweep_peak_db": _db(sweep.peak) if sweep and sweep.peak > 0.0 else None,
         }
         if feas is not None:
             row["theta1_max_eig"] = feas.per_vertex[i].theta1_max_eig
@@ -387,15 +393,15 @@ def cmd_sweep(args) -> int:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"# peak_sigma_max={_fmt(sweep.peak)},"
-            f"peak_db={_fmt(20.0 * math.log10(sweep.peak))},"
+            f"peak_db={_fmt(_db(sweep.peak))},"
             f"peak_omega_rad_s={_fmt(sweep.peak_frequency)}\n"
         )
         fh.write("omega_rad_s,sigma_max,sigma_max_db\n")
         for w_, s in zip(sweep.frequencies, sweep.sigma_max):
-            fh.write(f"{_fmt(w_)},{_fmt(s)},{_fmt(20.0 * math.log10(s))}\n")
+            fh.write(f"{_fmt(w_)},{_fmt(s)},{_fmt(_db(s))}\n")
     _say(
         f"vertex {label}: peak {sweep.peak:.6g} "
-        f"({20.0 * math.log10(sweep.peak):.4g} dB) at {sweep.peak_frequency:.6g} rad/s"
+        f"({_db(sweep.peak):.4g} dB) at {sweep.peak_frequency:.6g} rad/s"
     )
     _say(f"csv: {out}")
     return EXIT_OK

@@ -24,12 +24,10 @@ class ExtendedMatrices:
 
     F[i] stacks [[A_i, -B2_i], [0, 0]]; Q and R collect the disturbance and
     output weights blockdiagonally; rhalf is the symmetric square root of R;
-    V = [I_n 0] selects the state block. G = [0; I_m] completes the extended
-    model but is not consumed by the solver.
+    V = [I_n 0] selects the state block.
     """
 
     F: np.ndarray  # (N, p, p)
-    G: np.ndarray  # (p, m)
     Q: np.ndarray  # (p, p)
     R: np.ndarray  # (p, p)
     rhalf: np.ndarray  # (p, p)
@@ -54,7 +52,6 @@ def build_extended(plant: PlantModel, vset: VertexSet) -> ExtendedMatrices:
     for i, (ai, bi) in enumerate(vset):
         F[i, :n, :n] = ai
         F[i, :n, n:] = -bi
-    G = np.vstack([np.zeros((n, m)), np.eye(m)])
     Q = np.zeros((p, p))
     Q[:n, :n] = plant.B1 @ plant.B1.T
     R = np.zeros((p, p))
@@ -62,7 +59,7 @@ def build_extended(plant: PlantModel, vset: VertexSet) -> ExtendedMatrices:
     R[n:, n:] = plant.D.T @ plant.D
     rhalf = kernels.sym_sqrt(R)
     V = np.hstack([np.eye(n), np.zeros((n, m))])
-    return ExtendedMatrices(F=F, G=G, Q=Q, R=R, rhalf=rhalf, V=V, n=n, m=m)
+    return ExtendedMatrices(F=F, Q=Q, R=R, rhalf=rhalf, V=V, n=n, m=m)
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class SchurData:
     wsolve: np.ndarray  # (p^2, p^2)
     wsolve_factor: object
     tr_h3_sq: float
-    h0_dot_h3: float  # zero by construction (disjoint blocks)
 
 
 def build_schur(ext: ExtendedMatrices) -> SchurData:
@@ -128,7 +124,6 @@ def build_schur(ext: ExtendedMatrices) -> SchurData:
         wsolve=wsolve,
         wsolve_factor=kernels.spd_factor(wsolve),
         tr_h3_sq=float(np.trace(h3 @ h3)),
-        h0_dot_h3=float(np.trace(h0 @ h3)),
     )
 
 
@@ -167,8 +162,8 @@ def eval_g(schur: SchurData, i: int, w: np.ndarray, mu: float) -> np.ndarray:
     return kernels.symmetrize(lin + mu * schur.h3 + schur.h0)
 
 
-def eval_g_all(schur: SchurData, w: np.ndarray, mu: float) -> np.ndarray:
-    """All N Schur-form constraint blocks as one (N, r, r) stack.
+def eval_lin_all(schur: SchurData, w: np.ndarray) -> np.ndarray:
+    """The part of every constraint block that is linear in W, (N, r, r).
 
     Written with the second product transposing the operator factors rather
     than W itself, so the expression stays the exact linearization even when
@@ -176,7 +171,19 @@ def eval_g_all(schur: SchurData, w: np.ndarray, mu: float) -> np.ndarray:
     symmetric W the two readings coincide.
     """
     lin = schur.h1 @ w @ schur.h2
-    lin = lin + (schur.h2.T @ w) @ schur.h1.transpose(0, 2, 1)
+    return lin + (schur.h2.T @ w) @ schur.h1.transpose(0, 2, 1)
+
+
+def eval_g_all(
+    schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray | None = None
+) -> np.ndarray:
+    """All N Schur-form constraint blocks as one (N, r, r) stack.
+
+    lin, when given, must be eval_lin_all(schur, w); the solver computes it
+    once per iteration and shares it with the scalar mu update.
+    """
+    if lin is None:
+        lin = eval_lin_all(schur, w)
     return lin + mu * schur.h3 + schur.h0
 
 

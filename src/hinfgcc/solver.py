@@ -9,6 +9,23 @@ One iteration performs, in order:
   4. a multiplier step of length tau*sigma on Z,
   5. the four relative KKT residuals, whose maximum drives the stopping rule.
 
+Each piece of work is done once per iteration:
+
+  - The constraint map is evaluated once, after the W solve: its W-linear
+    part feeds the forward mu update and the next backward one, and the
+    consensus map h = (W, G(W, mu), mu) feeds the Z step, the residuals and
+    the next Y step.
+  - The vertex blocks of Y - Z (for err_Y) and of G - Z/sigma (for the next
+    Y step) depend only on the state after the iteration, so they go through
+    one batched projection of 2N blocks; the two p x p blocks stay on
+    kernels.project_psd.
+  - Y, Z and h are ConsensusVectors: one flat buffer each, with block views,
+    so the Z step is one axpy and every norm is one dot product.
+
+The step functions below keep their one-call-per-step forms: called without
+the precomputed inputs, they rebuild them from the state. W, mu and the
+iteration count are bitwise those of the unfused order (tests pin this).
+
 All cross-vertex reductions are accumulated in fixed index order, so runs
 are reproducible.
 """
@@ -22,8 +39,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, ExtractionError, NumericalError, SingularSystemError
-from .problem import SchurData, eval_g_all
+from .errors import (
+    DimensionError,
+    ExtractionError,
+    InvalidInputError,
+    NumericalError,
+    SingularSystemError,
+)
+from .problem import SchurData, eval_g_all, eval_lin_all
 
 TAU_MAX = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -57,51 +80,72 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
-@dataclass
 class ConsensusVector:
-    """Block vector over the cone: a p x p block, N r x r blocks, a scalar."""
+    """Block vector over the cone: a p x p block, N r x r blocks, a scalar.
 
-    y0: np.ndarray
-    yi: np.ndarray  # (N, r, r)
-    ylast: float
+    The three parts live in one flat buffer, `flat`; y0 and yi are views of
+    it and ylast reads its last entry, so sums, steps and norms over the
+    whole vector are single operations on `flat`. The constructor copies
+    the given blocks into a new buffer.
+    """
 
-    def copy(self) -> "ConsensusVector":
-        return ConsensusVector(self.y0.copy(), self.yi.copy(), float(self.ylast))
+    __slots__ = ("flat", "y0", "yi")
+
+    def __init__(self, y0: np.ndarray, yi: np.ndarray, ylast: float):
+        y0 = np.asarray(y0, dtype=float)
+        yi = np.asarray(yi, dtype=float)
+        self._view(np.empty(y0.size + yi.size + 1), y0.shape[0], yi.shape[0], yi.shape[1])
+        self.y0[...] = y0
+        self.yi[...] = yi
+        self.flat[-1] = ylast
+
+    def _view(self, flat: np.ndarray, p: int, n_blocks: int, r: int) -> None:
+        self.flat = flat
+        self.y0 = flat[: p * p].reshape(p, p)
+        self.yi = flat[p * p : -1].reshape(n_blocks, r, r)
+
+    @classmethod
+    def empty(cls, schur: SchurData) -> "ConsensusVector":
+        """Uninitialized vector shaped for the problem."""
+        cv = cls.__new__(cls)
+        cv._view(np.empty(schur.p * schur.p + schur.N * schur.r * schur.r + 1),
+                 schur.p, schur.N, schur.r)
+        return cv
+
+    @classmethod
+    def zeros(cls, schur: SchurData) -> "ConsensusVector":
+        cv = cls.empty(schur)
+        cv.flat[...] = 0.0
+        return cv
+
+    @property
+    def ylast(self) -> float:
+        return float(self.flat[-1])
+
+    @ylast.setter
+    def ylast(self, value: float) -> None:
+        self.flat[-1] = value
 
     def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(self.y0 * self.y0))
-            + float(np.sum(self.yi * self.yi))
-            + self.ylast**2
-        )
+        return _norm(self.flat)
 
 
-def cv_zeros(schur: SchurData) -> ConsensusVector:
-    return ConsensusVector(
-        np.zeros((schur.p, schur.p)), np.zeros((schur.N, schur.r, schur.r)), 0.0
-    )
+def apply_hmap(
+    schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray | None = None
+) -> ConsensusVector:
+    """The consensus map (W, all vertex constraint blocks, mu); lin as in
+    eval_g_all."""
+    h = ConsensusVector.empty(schur)
+    h.y0[...] = w
+    h.yi[...] = eval_g_all(schur, w, mu, lin)
+    h.flat[-1] = mu
+    return h
 
 
-def cv_diff_norm(a: ConsensusVector, b: ConsensusVector) -> float:
-    d0 = a.y0 - b.y0
-    di = a.yi - b.yi
-    return math.sqrt(
-        float(np.sum(d0 * d0)) + float(np.sum(di * di)) + (a.ylast - b.ylast) ** 2
-    )
-
-
-def apply_hmap(schur: SchurData, w: np.ndarray, mu: float) -> ConsensusVector:
-    """The consensus map (W, all vertex constraint blocks, mu)."""
-    return ConsensusVector(w.copy(), eval_g_all(schur, w, mu), float(mu))
-
-
-def project_cone(cv: ConsensusVector) -> ConsensusVector:
-    """Blockwise projection onto PSD cones and the nonnegative half-line."""
-    return ConsensusVector(
-        kernels.project_psd(cv.y0),
-        kernels.project_psd_stack(cv.yi),
-        kernels.project_nonneg(cv.ylast),
-    )
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm, as np.linalg.norm computes it, without its dispatch."""
+    v = a.ravel()
+    return math.sqrt(float(v @ v))
 
 
 class HistoryEntry(NamedTuple):
@@ -112,7 +156,6 @@ class HistoryEntry(NamedTuple):
     err_eq: float
     err: float
     mu: float
-    gap: float
 
 
 @dataclass
@@ -148,8 +191,8 @@ def init(
         return SolverState(
             w=np.zeros((schur.p, schur.p)),
             mu=0.0,
-            y=cv_zeros(schur),
-            z=cv_zeros(schur),
+            y=ConsensusVector.zeros(schur),
+            z=ConsensusVector.zeros(schur),
         )
     w0, mu0, y0, z0 = start
     w0 = np.asarray(w0, dtype=float)
@@ -158,41 +201,62 @@ def init(
     for name, cv in (("Y", y0), ("Z", z0)):
         if cv.y0.shape != (schur.p, schur.p) or cv.yi.shape != (schur.N, schur.r, schur.r):
             raise DimensionError(f"start {name} blocks do not match problem dimensions")
-    return SolverState(w=w0.copy(), mu=float(mu0), y=y0.copy(), z=z0.copy())
+    return SolverState(
+        w=w0.copy(),
+        mu=float(mu0),
+        y=ConsensusVector(y0.y0, y0.yi, y0.ylast),
+        z=ConsensusVector(z0.y0, z0.yi, z0.ylast),
+    )
 
 
-def update_y(state: SolverState, schur: SchurData, config: SolverConfig) -> ConsensusVector:
-    """Project the shifted consensus blocks onto their cones; the N vertex
-    blocks go through one batched projection."""
+def update_y(
+    state: SolverState, schur: SchurData, config: SolverConfig, yi: np.ndarray | None = None
+) -> ConsensusVector:
+    """Project the shifted consensus blocks onto their cones.
+
+    yi, when given, is the projection of the vertex blocks G(W, mu) - Z_i/sigma
+    (solve computes it one iteration early, batched with the residual's);
+    otherwise the N blocks go through one batched projection here.
+    """
     sigma = config.sigma
-    ylast = kernels.project_nonneg(state.mu - state.z.ylast / sigma)
-    target = eval_g_all(schur, state.w, state.mu) - state.z.yi / sigma
-    yi = kernels.project_psd_stack(target)
-    y0 = kernels.project_psd(state.w - state.z.y0 / sigma)
-    return ConsensusVector(y0, yi, ylast)
+    y = ConsensusVector.empty(schur)
+    y.flat[-1] = kernels.project_nonneg(state.mu - state.z.ylast / sigma)
+    if yi is None:
+        target = eval_g_all(schur, state.w, state.mu) - state.z.yi / sigma
+        yi = kernels.project_psd_stack(target)
+    y.yi[...] = yi
+    y.y0[...] = kernels.project_psd(state.w - state.z.y0 / sigma)
+    return y
 
 
 def _mu_closed_form(
-    schur: SchurData, config: SolverConfig, w: np.ndarray, y: ConsensusVector, z: ConsensusVector
+    schur: SchurData,
+    config: SolverConfig,
+    w: np.ndarray,
+    y: ConsensusVector,
+    z: ConsensusVector,
+    lin: np.ndarray | None,
 ) -> float:
-    """Stationary point of the augmented Lagrangian in mu at fixed (Y, W, Z)."""
+    """Stationary point of the augmented Lagrangian in mu at fixed (Y, W, Z).
+
+    lin is eval_lin_all(schur, w), computed here when not given. The term
+    <h0, h3> of the stationarity condition is absent: the two blocks have
+    disjoint support.
+    """
     sigma = config.sigma
-    lin = schur.h1 @ w @ schur.h2
-    lin = lin + (schur.h2.T @ w) @ schur.h1.transpose(0, 2, 1)
+    if lin is None:
+        lin = eval_lin_all(schur, w)
     inner = float(np.einsum("irs,rs->", lin - y.yi - z.yi / sigma, schur.h3))
-    num = (
-        1.0
-        - sigma * inner
-        + sigma * y.ylast
-        + z.ylast
-        - sigma * schur.N * schur.h0_dot_h3
-    )
+    num = 1.0 - sigma * inner + sigma * y.ylast + z.ylast
     return num / (sigma * (schur.N * schur.tr_h3_sq + 1.0))
 
 
-def backward_mu(state: SolverState, schur: SchurData, config: SolverConfig) -> float:
-    """Backward-sweep mu update; expects state.y already advanced."""
-    return _mu_closed_form(schur, config, state.w, state.y, state.z)
+def backward_mu(
+    state: SolverState, schur: SchurData, config: SolverConfig, lin: np.ndarray | None = None
+) -> float:
+    """Backward-sweep mu update; expects state.y already advanced. lin is
+    eval_lin_all at state.w, computed when not given."""
+    return _mu_closed_form(schur, config, state.w, state.y, state.z, lin)
 
 
 def update_w(
@@ -208,42 +272,76 @@ def update_w(
 
 
 def forward_mu(
-    state: SolverState, schur: SchurData, config: SolverConfig, w_new: np.ndarray
+    state: SolverState,
+    schur: SchurData,
+    config: SolverConfig,
+    w_new: np.ndarray,
+    lin: np.ndarray | None = None,
 ) -> float:
-    """Forward-sweep mu update: same closed form evaluated at the new W."""
-    return _mu_closed_form(schur, config, w_new, state.y, state.z)
+    """Forward-sweep mu update: same closed form evaluated at the new W; lin
+    is eval_lin_all at w_new, computed when not given."""
+    return _mu_closed_form(schur, config, w_new, state.y, state.z, lin)
 
 
-def update_z(state: SolverState, schur: SchurData, config: SolverConfig) -> ConsensusVector:
-    """Multiplier step along the primal residual; expects primals advanced."""
-    step = config.tau * config.sigma
-    h = apply_hmap(schur, state.w, state.mu)
-    z0 = kernels.symmetrize(state.z.y0 + step * (state.y.y0 - h.y0))
-    zi = state.z.yi + step * (state.y.yi - h.yi)
-    zi = (zi + zi.transpose(0, 2, 1)) / 2.0
-    zlast = state.z.ylast + step * (state.y.ylast - h.ylast)
-    return ConsensusVector(z0, zi, zlast)
+def update_z(
+    state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector | None = None
+) -> ConsensusVector:
+    """Multiplier step along the primal residual; expects primals advanced.
+
+    h is the consensus map at the state's (W, mu), evaluated when not given.
+    """
+    if h is None:
+        h = apply_hmap(schur, state.w, state.mu)
+    z = ConsensusVector.empty(schur)
+    np.multiply(config.tau * config.sigma, state.y.flat - h.flat, out=z.flat)
+    z.flat += state.z.flat
+    z.y0 += z.y0.T
+    z.y0 /= 2.0
+    z.yi += z.yi.transpose(0, 2, 1)
+    z.yi /= 2.0
+    return z
 
 
-def residuals(state: SolverState, schur: SchurData) -> tuple[float, float, float, float, float]:
-    """Relative KKT residuals (err_W, err_mu, err_Y, err_eq) and their max."""
-    z = state.z
+def residuals(
+    state: SolverState,
+    schur: SchurData,
+    h: ConsensusVector | None = None,
+    proj_yi: np.ndarray | None = None,
+) -> tuple[float, float, float, float, float]:
+    """Relative KKT residuals (err_W, err_mu, err_Y, err_eq) and their max.
+
+    h is the consensus map at the state's (W, mu) and proj_yi the projection
+    of the vertex blocks of Y - Z; each is computed here when not given.
+    Raises NumericalError when an iterate or a residual is not finite.
+    """
+    y, z = state.y, state.z
     h1t = schur.h1.transpose(0, 2, 1)
     per_vertex = h1t @ z.yi @ schur.h2.T + schur.h2 @ z.yi @ schur.h1
     grad_w = z.y0 + per_vertex.sum(axis=0)
-    den_w = 1.0 + np.linalg.norm(z.y0) + float(np.linalg.norm(per_vertex, axis=(1, 2)).sum())
-    err_w = float(np.linalg.norm(grad_w)) / den_w
+    vertex_norms = np.sqrt(np.add.reduce(per_vertex * per_vertex, axis=(1, 2)))
+    den_w = 1.0 + _norm(z.y0) + float(vertex_norms.sum())
+    err_w = _norm(grad_w) / den_w
 
     err_mu = abs(1.0 + z.ylast + float(np.einsum("irs,rs->", z.yi, schur.h3))) / 2.0
 
-    shifted = ConsensusVector(state.y.y0 - z.y0, state.y.yi - z.yi, state.y.ylast - z.ylast)
-    err_y = cv_diff_norm(state.y, project_cone(shifted)) / (
-        1.0 + state.y.norm() + z.norm()
-    )
+    if proj_yi is None:
+        proj_yi = kernels.project_psd_stack(y.yi - z.yi)
+    proj = ConsensusVector.empty(schur)
+    proj.y0[...] = kernels.project_psd(y.y0 - z.y0)
+    proj.yi[...] = proj_yi
+    proj.flat[-1] = kernels.project_nonneg(y.ylast - z.ylast)
+    norm_y = y.norm()
+    norm_z = z.norm()
+    err_y = _norm(y.flat - proj.flat) / (1.0 + norm_y + norm_z)
 
-    h = apply_hmap(schur, state.w, state.mu)
-    err_eq = cv_diff_norm(state.y, h) / (1.0 + state.y.norm() + h.norm())
+    if h is None:
+        h = apply_hmap(schur, state.w, state.mu)
+    norm_h = h.norm()
+    err_eq = _norm(y.flat - h.flat) / (1.0 + norm_y + norm_h)
 
+    # an overflowed norm turns a residual into 0 or nan, so test the norms too
+    if not all(map(math.isfinite, (norm_y, norm_z, norm_h, err_w, err_mu, err_y, err_eq))):
+        raise NumericalError("non-finite iterate or residual")
     err = max(err_w, err_mu, err_y, err_eq)
     return err_w, err_mu, err_y, err_eq, err
 
@@ -263,13 +361,8 @@ def lagrangian(
     updates.
     """
     sigma = config.sigma
-    h = apply_hmap(schur, w, mu)
-    shifted = ConsensusVector(
-        y.y0 - h.y0 + z.y0 / sigma,
-        y.yi - h.yi + z.yi / sigma,
-        y.ylast - h.ylast + z.ylast / sigma,
-    )
-    return -mu + 0.5 * sigma * shifted.norm() ** 2 - z.norm() ** 2 / (2.0 * sigma)
+    shifted = y.flat - apply_hmap(schur, w, mu).flat + z.flat / sigma
+    return -mu + 0.5 * sigma * float(shifted @ shifted) - float(z.flat @ z.flat) / (2.0 * sigma)
 
 
 def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -277,6 +370,8 @@ def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n + m, n + m):
         raise DimensionError(f"W must be {n + m}x{n + m}, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ExtractionError("W has non-finite entries")
     w1 = w[:n, :n]
     w2 = w[:n, n:]
     cond = np.linalg.cond(w1)
@@ -285,37 +380,70 @@ def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.linalg.solve(w1.T, w2).T
 
 
+# Breakdowns inside the loop: an eigensolver or linear solve that fails, or
+# an iterate that is no longer finite (the problem data were checked).
+_BREAKDOWNS = (np.linalg.LinAlgError, InvalidInputError, NumericalError, SingularSystemError)
+
+
+def _project_pair(
+    state: SolverState, h: ConsensusVector, sigma: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Projections of Y_i - Z_i (for err_Y) and of G_i - Z_i/sigma (for the
+    next Y step) in one batched call; both depend only on the current state.
+
+    If the batched call fails, the first half is projected alone, so a
+    failure surfaces where the unbatched order meets it: in this row's err_Y,
+    or else in the next Y step, which then projects its own target.
+    """
+    y, z = state.y, state.z
+    n = y.yi.shape[0]
+    pair = np.concatenate((y.yi - z.yi, h.yi - z.yi / sigma))
+    try:
+        out = kernels.project_psd_stack(pair)
+    except _BREAKDOWNS:
+        return kernels.project_psd_stack(pair[:n]), None
+    return out[:n], out[n:]
+
+
+def _record(
+    state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector, k: int
+) -> np.ndarray | None:
+    """Append history row k; return the next Y step's vertex projection."""
+    proj_yi, y_next = _project_pair(state, h, config.sigma)
+    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj_yi)
+    state.k = k
+    state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu))
+    return y_next
+
+
 def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) -> Solution:
     """Run the ADMM loop until err < eps or the iteration cap.
 
     The residuals at the initial point are recorded as history row k = 0 but
     the stopping rule is only evaluated after full iterations. On an
-    eigensolver or linear-solve breakdown the last state is preserved in the
-    history and the status is numerical-failure.
+    eigensolver or linear-solve breakdown, or a non-finite iterate, the
+    history ends at the last complete row and the status is
+    numerical-failure.
     """
     state = init(schur, config, start)
     status = MAX_ITERS
-    prev_mu = state.mu
-    err_w, err_mu, err_y, err_eq, err = residuals(state, schur)
-    state.history.append(HistoryEntry(0, err_w, err_mu, err_y, err_eq, err, state.mu, 0.0))
-    for k in range(1, config.max_iters + 1):
-        try:
-            state.y = update_y(state, schur, config)
-            mu_bar = backward_mu(state, schur, config)
+    try:
+        lin = eval_lin_all(schur, state.w)
+        y_next = _record(state, schur, config, apply_hmap(schur, state.w, state.mu, lin), 0)
+        for k in range(1, config.max_iters + 1):
+            state.y = update_y(state, schur, config, y_next)
+            mu_bar = backward_mu(state, schur, config, lin)
             state.w = update_w(state, schur, config, mu_bar)
-            state.mu = forward_mu(state, schur, config, state.w)
-            state.z = update_z(state, schur, config)
-            err_w, err_mu, err_y, err_eq, err = residuals(state, schur)
-        except (np.linalg.LinAlgError, NumericalError, SingularSystemError):
-            status = NUMERICAL_FAILURE
-            break
-        state.k = k
-        gap = err_eq * abs(state.mu - prev_mu)
-        prev_mu = state.mu
-        state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu, gap))
-        if err < config.eps:
-            status = CONVERGED
-            break
+            lin = eval_lin_all(schur, state.w)
+            state.mu = forward_mu(state, schur, config, state.w, lin)
+            h = apply_hmap(schur, state.w, state.mu, lin)
+            state.z = update_z(state, schur, config, h)
+            y_next = _record(state, schur, config, h, k)
+            if state.history[-1].err < config.eps:
+                status = CONVERGED
+                break
+    except _BREAKDOWNS:
+        status = NUMERICAL_FAILURE
 
     n_from_r = schur.r - schur.p  # r = m + 2n and p = m + n
     m_dim = schur.p - n_from_r

@@ -378,7 +378,7 @@ class TestCriterion8WsolveOracle:
             worst = max(worst, float(rel))
             # structural invariants of every built problem
             min_floor = min(min_floor, float(np.linalg.eigvalsh(s.wsolve).min()))
-            assert s.h0_dot_h3 == 0.0
+            assert np.trace(s.h0 @ s.h3) == 0.0
             b1b1t = built.ext.Q[: built.ext.n, : built.ext.n]
             assert s.tr_h3_sq == pytest.approx(np.trace(b1b1t @ b1b1t), rel=1e-12)
         ok = worst <= 1e-9 and min_floor >= 1.0 - 1e-9

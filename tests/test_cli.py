@@ -84,6 +84,12 @@ class TestSolveCommand:
         code = cli.main(["solve", toy_file, "--max-iters", "3", "--out", str(in_tmp / "r.json")])
         assert code == 4
 
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    def test_overflowing_sigma_exits_5(self, toy_file, in_tmp, sigma):
+        with np.errstate(all="ignore"):
+            code = cli.main(["solve", toy_file, "--sigma", sigma, "--out", str(in_tmp / "r.json")])
+        assert code == 5
+
     def test_zero_feedthrough_rejected_with_exit_3(self, tmp_path, in_tmp):
         bad = dict(TOY_PROBLEM)
         bad["D"] = [[0.0], [0.0]]
@@ -181,6 +187,35 @@ class TestVerifyCommand:
     def test_wrong_gain_shape_rejected(self, toy_file, tmp_path):
         gain = write_json(tmp_path / "wrong.json", {"K": [[1.0, 2.0]]})
         assert cli.main(["verify", toy_file, gain]) == 2
+
+
+ZERO_OUTPUT_PROBLEM = dict(TOY_PROBLEM, C=[[0.0], [0.0]])
+
+
+class TestZeroResponseLoop:
+    """C = 0 with K = 0 leaves a closed loop whose response is identically 0."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        return (
+            write_json(tmp_path / "zero_out.json", ZERO_OUTPUT_PROBLEM),
+            write_json(tmp_path / "k0.json", {"K": [[0.0]]}),
+        )
+
+    def test_verify_reports_null_db(self, files, in_tmp):
+        problem, gain = files
+        out = in_tmp / "v.json"
+        assert cli.main(["verify", problem, gain, "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["vertices"][0]
+        assert row["sweep_peak"] == 0.0 and row["sweep_peak_db"] is None
+
+    def test_sweep_writes_minus_inf(self, files, in_tmp):
+        problem, gain = files
+        out = in_tmp / "s.csv"
+        assert cli.main(["sweep", problem, gain, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "peak_db=-inf" in lines[0]
+        assert lines[2].split(",")[1:] == ["0", "-inf"]
 
 
 class TestSimulateCommand:

