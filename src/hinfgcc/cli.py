@@ -296,15 +296,20 @@ def cmd_solve(args) -> int:
         "N": vset.N,
     }
     if sol.K_star is not None:
-        report["verification"] = {
-            "feasibility_tol": args.tol,
-            "vertices": _vertex_rows(
-                plant, vset, ext, sol.K_star, sol.W_star, sol.mu_star, args.tol
-            ),
-        }
-        rows = report["verification"]["vertices"]
-        report["verification"]["all_stable"] = all(r["stable"] for r in rows)
-        report["verification"]["feasibility_passed"] = all(r["feasible"] for r in rows)
+        try:
+            rows = _vertex_rows(plant, vset, ext, sol.K_star, sol.W_star, sol.mu_star, args.tol)
+        except HinfgccError as exc:
+            # the solve's outcome is still worth a report (a numerical
+            # failure can leave a W the table cannot evaluate)
+            print(f"warning: verification failed: {exc}", file=sys.stderr)
+            report["verification"] = {"error": str(exc)}
+        else:
+            report["verification"] = {
+                "feasibility_tol": args.tol,
+                "vertices": rows,
+                "all_stable": all(r["stable"] for r in rows),
+                "feasibility_passed": all(r["feasible"] for r in rows),
+            }
     _write_json(out, report)
 
     _say(f"status: {sol.status} after {sol.iters} iterations ({wall:.2f} s)")

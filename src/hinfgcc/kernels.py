@@ -3,6 +3,10 @@
 Every other module routes its linear algebra through here so that numerical
 policy (symmetrization, eigenvalue clipping, factorization choices) lives in
 one place. All functions are pure and safe to call concurrently.
+
+Only numpy is used. The one linear system the solver meets, the p^2 x p^2
+W operator, is inverted once through its Cholesky factor (spd_factor), so
+each iteration's solve is a single matrix-vector product (spd_solve).
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import (
     DimensionError,
@@ -113,31 +115,28 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def spd_factor(m: np.ndarray):
-    """Cholesky factorization handle for a symmetric positive definite matrix."""
+def spd_factor(m: np.ndarray) -> np.ndarray:
+    """Explicit inverse of a symmetric positive definite matrix.
+
+    Built from the Cholesky factor, M^{-1} = L^{-T} L^{-1}, and symmetrized;
+    a matrix that is not positive definite raises SingularSystemError.
+    """
     m = _check_finite(m, "matrix")
     try:
-        return scipy.linalg.cho_factor(symmetrize(m))
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(symmetrize(m))
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"SPD factorization failed: {exc}") from exc
+    with np.errstate(over="ignore"):  # reported as the error below
+        li = np.linalg.inv(chol)
+        inv = symmetrize(li.T @ li)
+    if not np.isfinite(inv).all():
+        raise SingularSystemError("SPD inverse overflowed")
+    return inv
 
 
-def spd_solve(factor, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b given a factorization handle from spd_factor.
-
-    Calls LAPACK potrs directly: the result is the one cho_solve returns,
-    without its per-call checks of the (finite by construction) factor.
-    """
-    c, lower = factor
-    x, info = lapack.dpotrs(c, _check_finite(b, "right-hand side"), lower=lower)
-    if info != 0:
-        raise SingularSystemError(f"potrs rejected argument {-info}")
-    return x
-
-
-def solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M."""
-    return spd_solve(spd_factor(m), b)
+def spd_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b given M's inverse from spd_factor."""
+    return inv @ _check_finite(b, "right-hand side")
 
 
 def eig_general(a: np.ndarray) -> np.ndarray:

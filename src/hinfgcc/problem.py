@@ -67,9 +67,10 @@ class SchurData:
     """Constant operator matrices of the Schur-form conic program.
 
     wsolve is the p^2 x p^2 SPD matrix of the vectorized W subproblem
-    (identity plus four Kronecker terms per vertex); it is assembled and
-    factorized once since it does not change across iterations. Its minimum
-    eigenvalue is at least 1 because of the identity term.
+    (identity plus four Kronecker terms summed over the vertices), assembled
+    in closed form; wsolve_inv is its inverse, computed once since the
+    operator does not change across iterations. The minimum eigenvalue of
+    wsolve is at least 1 because of the identity term.
     """
 
     h0: np.ndarray  # (r, r)
@@ -80,12 +81,17 @@ class SchurData:
     r: int
     N: int
     wsolve: np.ndarray  # (p^2, p^2)
-    wsolve_factor: object
+    wsolve_inv: np.ndarray  # (p^2, p^2)
     tr_h3_sq: float
 
 
 def build_schur(ext: ExtendedMatrices) -> SchurData:
-    """Build the Schur-form operator matrices and factor the W-solve matrix."""
+    """Build the Schur-form operator matrices and invert the W-solve matrix.
+
+    With C_i = h2 h1_i and S = sum_i h1_i^T h1_i, the vertex sum of the four
+    Kronecker terms is kron(h2 h2^T, S) + kron(S, h2 h2^T) + X + X^T, where
+    X = sum_i kron(C_i, C_i^T) is one einsum over the (N, p, p) stack.
+    """
     n, m, p, N = ext.n, ext.m, ext.p, ext.N
     r = m + 2 * n
 
@@ -94,24 +100,15 @@ def build_schur(ext: ExtendedMatrices) -> SchurData:
     h2 = np.hstack([ext.V.T, np.zeros((p, p))])
     h3 = np.zeros((r, r))
     h3[:n, :n] = -(ext.V @ ext.Q @ ext.V.T)
-    h1 = np.zeros((N, r, p))
-    for i in range(N):
-        h1[i, :n, :] = -(ext.V @ ext.F[i])
-        h1[i, n:, :] = ext.rhalf
+    h1 = np.empty((N, r, p))
+    h1[:, :n, :] = -(ext.V @ ext.F)
+    h1[:, n:, :] = ext.rhalf
 
     h2h2t = h2 @ h2.T
-    wsolve = np.eye(p * p)
-    for i in range(N):
-        h1i = h1[i]
-        h2h1 = h2 @ h1i
-        h1th2t = h1i.T @ h2.T
-        h1th1 = h1i.T @ h1i
-        wsolve += (
-            kernels.kron(h2h2t, h1th1)
-            + kernels.kron(h2h1, h1th2t)
-            + kernels.kron(h1th2t, h2h1)
-            + kernels.kron(h1th1, h2h2t)
-        )
+    s = (h1.transpose(0, 2, 1) @ h1).sum(axis=0)
+    c = h2 @ h1
+    cross = np.einsum("iab,idc->acbd", c, c).reshape(p * p, p * p)
+    wsolve = np.eye(p * p) + kernels.kron(h2h2t, s) + kernels.kron(s, h2h2t) + cross + cross.T
     wsolve = kernels.symmetrize(wsolve)
     return SchurData(
         h0=h0,
@@ -122,7 +119,7 @@ def build_schur(ext: ExtendedMatrices) -> SchurData:
         r=r,
         N=N,
         wsolve=wsolve,
-        wsolve_factor=kernels.spd_factor(wsolve),
+        wsolve_inv=kernels.spd_factor(wsolve),
         tr_h3_sq=float(np.trace(h3 @ h3)),
     )
 

@@ -262,12 +262,12 @@ def backward_mu(
 def update_w(
     state: SolverState, schur: SchurData, config: SolverConfig, mu_bar: float
 ) -> np.ndarray:
-    """Solve the vectorized W subproblem against the prefactorized operator."""
+    """Solve the vectorized W subproblem against the precomputed inverse."""
     sigma = config.sigma
     mid = mu_bar * schur.h3 + schur.h0 - state.y.yi - state.z.yi / sigma
     s = (schur.h1.transpose(0, 2, 1) @ mid @ schur.h2.T).sum(axis=0)
     t0 = -state.y.y0 - state.z.y0 / sigma + s + s.T
-    w_vec = -kernels.spd_solve(schur.wsolve_factor, kernels.vec(t0))
+    w_vec = -kernels.spd_solve(schur.wsolve_inv, kernels.vec(t0))
     return kernels.symmetrize(kernels.unvec(w_vec, schur.p, schur.p))
 
 
@@ -447,19 +447,19 @@ def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) ->
 
     n_from_r = schur.r - schur.p  # r = m + 2n and p = m + n
     m_dim = schur.p - n_from_r
-    gamma = None
-    gain = None
     if status == CONVERGED and state.mu <= 0.0:
         # mu stuck at the cone boundary: gamma = 1/sqrt(mu) is undefined
         status = NUMERICAL_FAILURE
-    if state.mu > 0.0:
-        gamma = 1.0 / math.sqrt(state.mu)
     try:
         gain = extract_gain(state.w, n_from_r, m_dim)
     except ExtractionError:
         gain = None
         if status == CONVERGED:
             status = NUMERICAL_FAILURE
+    # a failed run has no gamma estimate, whatever mu it stopped at
+    gamma = None
+    if status != NUMERICAL_FAILURE and state.mu > 0.0:
+        gamma = 1.0 / math.sqrt(state.mu)
     return Solution(
         W_star=state.w,
         mu_star=state.mu,

@@ -85,10 +85,19 @@ class TestSolveCommand:
         assert code == 4
 
     @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
-    def test_overflowing_sigma_exits_5(self, toy_file, in_tmp, sigma):
+    def test_overflowing_sigma_exits_5(self, toy_file, in_tmp, sigma, capsys):
+        out = in_tmp / "r.json"
         with np.errstate(all="ignore"):
-            code = cli.main(["solve", toy_file, "--sigma", sigma, "--out", str(in_tmp / "r.json")])
+            code = cli.main(["solve", toy_file, "--sigma", sigma, "--out", str(out)])
         assert code == 5
+        # the report is written even when the verification table cannot be
+        # built, and a failed run reports no gamma
+        report = json.loads(out.read_text())
+        assert report["status"] == "numerical-failure"
+        assert report["gamma_star"] is None
+        assert "gamma*" not in capsys.readouterr().out
+        if sigma == "1e-200":
+            assert "non-finite" in report["verification"]["error"]
 
     def test_zero_feedthrough_rejected_with_exit_3(self, tmp_path, in_tmp):
         bad = dict(TOY_PROBLEM)

@@ -150,13 +150,23 @@ class TestKronVec:
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
 
 
+def solve_spd(m, b):
+    return kernels.spd_solve(kernels.spd_factor(m), b)
+
+
+def backward_error(m, x, b):
+    """||M x - b|| / (||M||_2 ||x||): the relative size of the smallest
+    perturbation of M for which x is an exact solution."""
+    return np.linalg.norm(m @ x - b) / (np.linalg.norm(m, 2) * np.linalg.norm(x))
+
+
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        npt.assert_allclose(kernels.solve_spd(np.eye(3), b), b)
+        npt.assert_allclose(solve_spd(np.eye(3), b), b)
 
     def test_diagonal(self):
-        npt.assert_allclose(kernels.solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0])), [1.0, 2.0])
+        npt.assert_allclose(solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(9)
@@ -164,22 +174,48 @@ class TestSolveSpd:
             m = rng.standard_normal((6, 6))
             spd = m.T @ m + np.eye(6)
             b = rng.standard_normal(6)
-            x = kernels.solve_spd(spd, b)
+            x = solve_spd(spd, b)
             assert np.linalg.norm(spd @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
 
     def test_singular_rejected(self):
         with pytest.raises(SingularSystemError):
-            kernels.solve_spd(np.zeros((2, 2)), np.ones(2))
+            solve_spd(np.zeros((2, 2)), np.ones(2))
 
-    def test_matches_cho_solve_bitwise(self):
-        import scipy.linalg
+    def test_indefinite_rejected(self):
+        with pytest.raises(SingularSystemError):
+            kernels.spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(InvalidInputError):
+            kernels.spd_factor(np.array([[1.0, 0.0], [0.0, np.inf]]))
+
+    def test_overflowing_inverse_rejected(self):
+        # the Cholesky factor of a subnormal pivot exists, its inverse does not
+        with pytest.raises(SingularSystemError):
+            kernels.spd_factor(np.array([[1e-320]]))
+
+    def test_inverse_is_symmetric(self):
         rng = np.random.default_rng(10)
-        for n in (1, 4, 9, 16):
-            m = rng.standard_normal((n, n))
-            factor = kernels.spd_factor(m.T @ m + np.eye(n))
-            b = rng.standard_normal(n)
-            assert kernels.spd_solve(factor, b).tobytes() == scipy.linalg.cho_solve(factor, b).tobytes()
+        m = rng.standard_normal((9, 9))
+        inv = kernels.spd_factor(m.T @ m + np.eye(9))
+        assert np.array_equal(inv, inv.T)
+
+    def test_backward_error_on_random_spd(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 4, 9, 16, 36):
+            for scale in (1e-3, 1.0, 1e3):
+                m = rng.standard_normal((n, n)) * scale
+                spd = m.T @ m + np.eye(n)
+                b = rng.standard_normal(n)
+                assert backward_error(spd, solve_spd(spd, b), b) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_backward_error_on_fixture_operators(self, request, name):
+        s = request.getfixturevalue(name).schur
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            b = rng.standard_normal(s.p * s.p)
+            assert backward_error(s.wsolve, kernels.spd_solve(s.wsolve_inv, b), b) <= 1e-14
 
     def test_non_finite_rhs_rejected(self):
         factor = kernels.spd_factor(np.eye(2))

@@ -92,6 +92,30 @@ class TestBuildSchur:
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_wsolve_matches_per_vertex_kronecker_loop(self, request, name):
+        # the operator as a plain sum of four Kronecker terms per vertex
+        s = request.getfixturevalue(name).schur
+        h2h2t = s.h2 @ s.h2.T
+        expected = np.eye(s.p * s.p)
+        for h1i in s.h1:
+            h2h1 = s.h2 @ h1i
+            h1th1 = h1i.T @ h1i
+            expected += (
+                np.kron(h2h2t, h1th1)
+                + np.kron(h2h1, h2h1.T)
+                + np.kron(h2h1.T, h2h1)
+                + np.kron(h1th1, h2h2t)
+            )
+        assert np.abs(s.wsolve - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_h1_stack_matches_vertex_blocks(self, example2):
+        s, e = example2.schur, example2.ext
+        for i in (0, 17, 255):
+            npt.assert_array_equal(s.h1[i, :2, :], -(e.V @ e.F[i]))
+            npt.assert_array_equal(s.h1[i, 2:, :], e.rhalf)
+
+
 class TestEvalTheta1:
     def test_zero_point_is_zero(self, example1):
         npt.assert_allclose(hg.eval_theta1(example1.ext, 0, np.zeros((4, 4)), 0.0), 0.0)

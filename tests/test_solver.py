@@ -215,7 +215,7 @@ class TestSweepUpdates:
         s = toy.schur
         zeroed = hg.SchurData(
             h0=s.h0, h1=np.zeros_like(s.h1), h2=s.h2, h3=s.h3, p=s.p, r=s.r, N=s.N,
-            wsolve=np.eye(s.p * s.p), wsolve_factor=kernels.spd_factor(np.eye(s.p * s.p)),
+            wsolve=np.eye(s.p * s.p), wsolve_inv=kernels.spd_factor(np.eye(s.p * s.p)),
             tr_h3_sq=s.tr_h3_sq,
         )
         assert np.trace(zeroed.h0 @ zeroed.h3) == 0.0
@@ -433,6 +433,7 @@ class TestNonFiniteIterates:
         with np.errstate(all="ignore"):
             sol = hg.solve(toy.schur, hg.SolverConfig(sigma=sigma))
         assert sol.status == hg.NUMERICAL_FAILURE
+        assert sol.gamma_star is None  # a failed run has no gamma estimate
 
     @pytest.mark.parametrize("bad", ["W", "Z"])
     def test_nan_start_is_a_numerical_failure(self, toy, bad):
@@ -451,7 +452,8 @@ class TestNonFiniteIterates:
 # One ADMM iteration as the loop performed it before the constraint map was
 # shared, the two vertex projections batched and the consensus vectors made
 # flat: every step rebuilds what it needs from (W, mu, Y, Z), with np.clip and
-# scipy's cho_solve. solve() must reproduce its W and mu bit for bit.
+# the W solve written out as a product with the operator's inverse. solve()
+# must reproduce its W and mu bit for bit.
 
 
 def _ref_project_psd(s):
@@ -508,8 +510,6 @@ def _ref_residuals(s, w, mu, y, z):
 
 def _ref_run(s, cfg, iters):
     """(W, mu, rows) after `iters` unfused iterations from the zero state."""
-    import scipy.linalg
-
     sigma, step = cfg.sigma, cfg.tau * cfg.sigma
     w, mu = np.zeros((s.p, s.p)), 0.0
     y = (np.zeros((s.p, s.p)), np.zeros((s.N, s.r, s.r)), 0.0)
@@ -525,7 +525,7 @@ def _ref_run(s, cfg, iters):
         mid = mu_bar * s.h3 + s.h0 - y[1] - z[1] / sigma
         t = (s.h1.transpose(0, 2, 1) @ mid @ s.h2.T).sum(axis=0)
         t0 = -y[0] - z[0] / sigma + t + t.T
-        w_vec = -scipy.linalg.cho_solve(s.wsolve_factor, t0.reshape(-1, order="F"))
+        w_vec = -(s.wsolve_inv @ t0.reshape(-1, order="F"))
         w = w_vec.reshape((s.p, s.p), order="F")
         w = (w + w.T) / 2.0
         mu = _ref_mu(s, sigma, w, y, z)
