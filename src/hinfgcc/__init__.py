@@ -33,7 +33,6 @@ from .problem import (
     SchurData,
     build_extended,
     build_schur,
-    eval_g,
     eval_theta1,
 )
 from .solver import (
@@ -95,7 +94,6 @@ __all__ = [
     "check_feasibility",
     "closed_loop",
     "enumerate_vertices",
-    "eval_g",
     "eval_theta1",
     "extract_gain",
     "hinf_sweep",

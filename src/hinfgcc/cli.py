@@ -36,7 +36,7 @@ from .model import (
     enumerate_vertices,
     validate_plant,
 )
-from .problem import ExtendedMatrices, build_extended, build_schur
+from .problem import build_extended, build_schur
 from .solver import CONVERGED, MAX_ITERS, SolverConfig
 
 EXIT_OK = 0
@@ -211,14 +211,10 @@ def _solver_config(settings: dict, args) -> SolverConfig:
 def _vertex_rows(
     plant: PlantModel,
     vset: VertexSet,
-    ext: ExtendedMatrices,
     gain: np.ndarray,
-    w: np.ndarray | None,
-    mu: float | None,
-    tol: float,
+    feas: verify_mod.FeasibilityReport | None,
 ) -> list[dict]:
-    """Per-vertex margin + H-infinity norm (+ feasibility when W, mu are given)."""
-    feas = verify_mod.check_feasibility(ext, w, mu, tol) if w is not None and mu is not None else None
+    """Per-vertex margin + H-infinity norm (+ feasibility when a report is given)."""
     rows = []
     for i in range(vset.N):
         cl = verify_mod.closed_loop(plant, vset[i], gain, index=i)
@@ -297,7 +293,8 @@ def cmd_solve(args) -> int:
     }
     if sol.K_star is not None:
         try:
-            rows = _vertex_rows(plant, vset, ext, sol.K_star, sol.W_star, sol.mu_star, args.tol)
+            feas = verify_mod.check_feasibility(ext, sol.W_star, sol.mu_star, args.tol)
+            rows = _vertex_rows(plant, vset, sol.K_star, feas)
         except HinfgccError as exc:
             # the solve's outcome is still worth a report (a numerical
             # failure can leave a W the table cannot evaluate)
@@ -328,15 +325,17 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     plant, _, _, vset, ext = _pipeline(args.problem)
     gain, w, mu = load_gain(args.gain, plant)
-    rows = _vertex_rows(plant, vset, ext, gain, w, mu, args.tol)
+    feas = None
+    if w is not None and mu is not None:
+        feas = verify_mod.check_feasibility(ext, w, mu, args.tol)
+    rows = _vertex_rows(plant, vset, gain, feas)
     report = {
         "K": gain.tolist(),
         "feasibility_tol": args.tol if w is not None else None,
         "vertices": rows,
         "all_stable": all(r["stable"] for r in rows),
     }
-    if w is not None and mu is not None:
-        feas = verify_mod.check_feasibility(ext, w, mu, args.tol)
+    if feas is not None:
         report["feasibility_passed"] = feas.passed
         report["w_min_eig"] = feas.w_min_eig
         report["mu"] = mu

@@ -36,8 +36,9 @@ class EigDecomp(NamedTuple):
 
 
 def symmetrize(s: np.ndarray) -> np.ndarray:
-    """Return (S + S^T)/2, the symmetric part of a square matrix."""
-    return (s + s.T) / 2.0
+    """Return (S + S^T)/2, the symmetric part of a square matrix or of each
+    matrix of a (k, n, n) stack."""
+    return (s + s.swapaxes(-1, -2)) / 2.0
 
 
 def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -52,6 +53,28 @@ def sym_eig(s: np.ndarray) -> EigDecomp:
     s = _check_finite(s, "matrix")
     w, v = np.linalg.eigh(symmetrize(s))
     return EigDecomp(w[::-1].copy(), v[:, ::-1].copy())
+
+
+def max_eigs(stack: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric matrix of a (k, n, n) stack."""
+    return np.linalg.eigvalsh(_check_finite(stack, "matrix"))[..., -1]
+
+
+def max_pencil_eigs(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each pencil (B, A_i) for a symmetric B and a
+    (k, n, n) stack of positive definite A_i: lambda_max(L_i^{-1} B L_i^{-T})
+    with L_i L_i^T = A_i.
+
+    An A_i that is not positive definite raises SingularSystemError;
+    non-finite input raises InvalidInputError.
+    """
+    a = _check_finite(a, "matrix")
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"pencil matrix is not positive definite: {exc}") from exc
+    half = np.linalg.solve(chol, np.broadcast_to(b, a.shape))  # L^{-1} B
+    return max_eigs(symmetrize(np.linalg.solve(chol, np.swapaxes(half, -1, -2))))
 
 
 def project_psd(s: np.ndarray) -> np.ndarray:

@@ -66,11 +66,9 @@ def build_extended(plant: PlantModel, vset: VertexSet) -> ExtendedMatrices:
 class SchurData:
     """Constant operator matrices of the Schur-form conic program.
 
-    wsolve is the p^2 x p^2 SPD matrix of the vectorized W subproblem
-    (identity plus four Kronecker terms summed over the vertices), assembled
-    in closed form; wsolve_inv is its inverse, computed once since the
-    operator does not change across iterations. The minimum eigenvalue of
-    wsolve is at least 1 because of the identity term.
+    wsolve_inv is the inverse of w_operator(h1, h2), the SPD matrix of the
+    vectorized W subproblem, computed once since the operator does not
+    change across iterations.
     """
 
     h0: np.ndarray  # (r, r)
@@ -80,18 +78,30 @@ class SchurData:
     p: int
     r: int
     N: int
-    wsolve: np.ndarray  # (p^2, p^2)
     wsolve_inv: np.ndarray  # (p^2, p^2)
     tr_h3_sq: float
 
 
-def build_schur(ext: ExtendedMatrices) -> SchurData:
-    """Build the Schur-form operator matrices and invert the W-solve matrix.
+def w_operator(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """The p^2 x p^2 SPD matrix of the vectorized W subproblem.
 
-    With C_i = h2 h1_i and S = sum_i h1_i^T h1_i, the vertex sum of the four
-    Kronecker terms is kron(h2 h2^T, S) + kron(S, h2 h2^T) + X + X^T, where
-    X = sum_i kron(C_i, C_i^T) is one einsum over the (N, p, p) stack.
+    It is the identity plus four Kronecker terms summed over the vertices,
+    so its minimum eigenvalue is at least 1. With C_i = h2 h1_i and
+    S = sum_i h1_i^T h1_i, that sum is kron(h2 h2^T, S) + kron(S, h2 h2^T)
+    + X + X^T, where X = sum_i kron(C_i, C_i^T) is one einsum over the
+    (N, p, p) stack.
     """
+    p = h2.shape[0]
+    h2h2t = h2 @ h2.T
+    s = (h1.transpose(0, 2, 1) @ h1).sum(axis=0)
+    c = h2 @ h1
+    cross = np.einsum("iab,idc->acbd", c, c).reshape(p * p, p * p)
+    op = np.eye(p * p) + kernels.kron(h2h2t, s) + kernels.kron(s, h2h2t) + cross + cross.T
+    return kernels.symmetrize(op)
+
+
+def build_schur(ext: ExtendedMatrices) -> SchurData:
+    """Build the Schur-form operator matrices and invert the W-solve matrix."""
     n, m, p, N = ext.n, ext.m, ext.p, ext.N
     r = m + 2 * n
 
@@ -103,13 +113,6 @@ def build_schur(ext: ExtendedMatrices) -> SchurData:
     h1 = np.empty((N, r, p))
     h1[:, :n, :] = -(ext.V @ ext.F)
     h1[:, n:, :] = ext.rhalf
-
-    h2h2t = h2 @ h2.T
-    s = (h1.transpose(0, 2, 1) @ h1).sum(axis=0)
-    c = h2 @ h1
-    cross = np.einsum("iab,idc->acbd", c, c).reshape(p * p, p * p)
-    wsolve = np.eye(p * p) + kernels.kron(h2h2t, s) + kernels.kron(s, h2h2t) + cross + cross.T
-    wsolve = kernels.symmetrize(wsolve)
     return SchurData(
         h0=h0,
         h1=h1,
@@ -118,45 +121,43 @@ def build_schur(ext: ExtendedMatrices) -> SchurData:
         p=p,
         r=r,
         N=N,
-        wsolve=wsolve,
-        wsolve_inv=kernels.spd_factor(wsolve),
+        wsolve_inv=kernels.spd_factor(w_operator(h1, h2)),
         tr_h3_sq=float(np.trace(h3 @ h3)),
     )
 
 
-def eval_theta1(ext: ExtendedMatrices, i: int, w: np.ndarray, mu: float) -> np.ndarray:
-    """Quadratic stability block for vertex i at (W, mu); feasible iff <= 0.
+def eval_theta1(ext: ExtendedMatrices, w: np.ndarray, mu: float) -> np.ndarray:
+    """Quadratic stability blocks of every vertex at (W, mu), (N, n, n);
+    (W, mu) is feasible at vertex i iff block i is <= 0.
 
     Computed from the partition blocks of W: with W1 the state block and W2
-    the cross block,
+    the cross block, block i is
 
         A_i W1 - B2_i W2^T + W1 A_i^T - W2 B2_i^T
         + W1 C^T C W1 + W2 D^T D W2^T + mu B1 B1^T.
+
+    Entries that overflow come back as inf or nan, without a warning; the
+    eigenvalue kernels reject them.
     """
     n = ext.n
-    ai = ext.F[i, :n, :n]
-    b2i = -ext.F[i, :n, n:]
+    a = ext.F[:, :n, :n]
+    b2 = -ext.F[:, :n, n:]
     w1 = w[:n, :n]
     w2 = w[:n, n:]
     ctc = ext.R[:n, :n]
     dtd = ext.R[n:, n:]
     b1b1t = ext.Q[:n, :n]
-    out = (
-        ai @ w1
-        - b2i @ w2.T
-        + w1 @ ai.T
-        - w2 @ b2i.T
-        + w1 @ ctc @ w1
-        + w2 @ dtd @ w2.T
-        + mu * b1b1t
-    )
-    return kernels.symmetrize(out)
-
-
-def eval_g(schur: SchurData, i: int, w: np.ndarray, mu: float) -> np.ndarray:
-    """Schur-form constraint block for vertex i; feasible iff >= 0."""
-    lin = schur.h1[i] @ w @ schur.h2 + schur.h2.T @ w @ schur.h1[i].T
-    return kernels.symmetrize(lin + mu * schur.h3 + schur.h0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (
+            a @ w1
+            - b2 @ w2.T
+            + w1 @ a.transpose(0, 2, 1)
+            - w2 @ b2.transpose(0, 2, 1)
+            + w1 @ ctc @ w1
+            + w2 @ dtd @ w2.T
+            + mu * b1b1t
+        )
+        return kernels.symmetrize(out)
 
 
 def eval_lin_all(schur: SchurData, w: np.ndarray) -> np.ndarray:
@@ -171,27 +172,8 @@ def eval_lin_all(schur: SchurData, w: np.ndarray) -> np.ndarray:
     return lin + (schur.h2.T @ w) @ schur.h1.transpose(0, 2, 1)
 
 
-def eval_g_all(
-    schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray | None = None
-) -> np.ndarray:
-    """All N Schur-form constraint blocks as one (N, r, r) stack.
-
-    lin, when given, must be eval_lin_all(schur, w); the solver computes it
-    once per iteration and shares it with the scalar mu update.
+def eval_g_all(schur: SchurData, lin: np.ndarray, mu: float) -> np.ndarray:
+    """All N Schur-form constraint blocks as one (N, r, r) stack, from their
+    W-linear part lin = eval_lin_all(schur, w); block i is feasible iff >= 0.
     """
-    if lin is None:
-        lin = eval_lin_all(schur, w)
     return lin + mu * schur.h3 + schur.h0
-
-
-def wsolve_apply(schur: SchurData, x: np.ndarray) -> np.ndarray:
-    """Apply the (un-vectorized) W-solve operator to a symmetric matrix.
-
-    Reference implementation used to validate the Kronecker assembly of
-    wsolve: returns X plus the vertex sum of the sandwich terms.
-    """
-    h1, h2 = schur.h1, schur.h2
-    h1t = h1.transpose(0, 2, 1)
-    lin = h1 @ x @ h2 + (h2.T @ x) @ h1t
-    out = x + (h1t @ lin @ h2.T + h2 @ lin @ h1).sum(axis=0)
-    return out

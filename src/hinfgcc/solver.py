@@ -22,9 +22,8 @@ Each piece of work is done once per iteration:
   - Y, Z and h are ConsensusVectors: one flat buffer each, with block views,
     so the Z step is one axpy and every norm is one dot product.
 
-The step functions below keep their one-call-per-step forms: called without
-the precomputed inputs, they rebuild them from the state. W, mu and the
-iteration count are bitwise those of the unfused order (tests pin this).
+The step functions below take these shared inputs as arguments. W, mu and
+the iteration count are bitwise those of the unfused order (tests pin this).
 
 All cross-vertex reductions are accumulated in fixed index order, so runs
 are reproducible.
@@ -130,14 +129,12 @@ class ConsensusVector:
         return _norm(self.flat)
 
 
-def apply_hmap(
-    schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray | None = None
-) -> ConsensusVector:
-    """The consensus map (W, all vertex constraint blocks, mu); lin as in
-    eval_g_all."""
+def apply_hmap(schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray) -> ConsensusVector:
+    """The consensus map (W, all vertex constraint blocks, mu); lin is
+    eval_lin_all(schur, w)."""
     h = ConsensusVector.empty(schur)
     h.y0[...] = w
-    h.yi[...] = eval_g_all(schur, w, mu, lin)
+    h.yi[...] = eval_g_all(schur, lin, mu)
     h.flat[-1] = mu
     return h
 
@@ -210,53 +207,41 @@ def init(
 
 
 def update_y(
-    state: SolverState, schur: SchurData, config: SolverConfig, yi: np.ndarray | None = None
+    state: SolverState, schur: SchurData, config: SolverConfig, yi: np.ndarray
 ) -> ConsensusVector:
     """Project the shifted consensus blocks onto their cones.
 
-    yi, when given, is the projection of the vertex blocks G(W, mu) - Z_i/sigma
-    (solve computes it one iteration early, batched with the residual's);
-    otherwise the N blocks go through one batched projection here.
+    yi is the projection of the vertex blocks G(W, mu) - Z_i/sigma, which
+    solve computes one iteration early, batched with the residual's.
     """
     sigma = config.sigma
     y = ConsensusVector.empty(schur)
     y.flat[-1] = kernels.project_nonneg(state.mu - state.z.ylast / sigma)
-    if yi is None:
-        target = eval_g_all(schur, state.w, state.mu) - state.z.yi / sigma
-        yi = kernels.project_psd_stack(target)
     y.yi[...] = yi
     y.y0[...] = kernels.project_psd(state.w - state.z.y0 / sigma)
     return y
 
 
-def _mu_closed_form(
-    schur: SchurData,
-    config: SolverConfig,
-    w: np.ndarray,
-    y: ConsensusVector,
-    z: ConsensusVector,
-    lin: np.ndarray | None,
+def backward_mu(
+    state: SolverState, schur: SchurData, config: SolverConfig, lin: np.ndarray
 ) -> float:
-    """Stationary point of the augmented Lagrangian in mu at fixed (Y, W, Z).
+    """Closed-form mu update: the stationary point of the augmented Lagrangian
+    in mu at fixed (Y, W, Z); expects state.y already advanced.
 
-    lin is eval_lin_all(schur, w), computed here when not given. The term
-    <h0, h3> of the stationarity condition is absent: the two blocks have
-    disjoint support.
+    lin is eval_lin_all at the sweep's W: the old W in the backward sweep,
+    the new one in the forward sweep. The term <h0, h3> of the stationarity
+    condition is absent: the two blocks have disjoint support.
     """
     sigma = config.sigma
-    if lin is None:
-        lin = eval_lin_all(schur, w)
+    y, z = state.y, state.z
     inner = float(np.einsum("irs,rs->", lin - y.yi - z.yi / sigma, schur.h3))
     num = 1.0 - sigma * inner + sigma * y.ylast + z.ylast
     return num / (sigma * (schur.N * schur.tr_h3_sq + 1.0))
 
 
-def backward_mu(
-    state: SolverState, schur: SchurData, config: SolverConfig, lin: np.ndarray | None = None
-) -> float:
-    """Backward-sweep mu update; expects state.y already advanced. lin is
-    eval_lin_all at state.w, computed when not given."""
-    return _mu_closed_form(schur, config, state.w, state.y, state.z, lin)
+# The forward sweep is the same update at the new W, under its own name so
+# that the two sweeps can be timed apart.
+forward_mu = backward_mu
 
 
 def update_w(
@@ -271,27 +256,13 @@ def update_w(
     return kernels.symmetrize(kernels.unvec(w_vec, schur.p, schur.p))
 
 
-def forward_mu(
-    state: SolverState,
-    schur: SchurData,
-    config: SolverConfig,
-    w_new: np.ndarray,
-    lin: np.ndarray | None = None,
-) -> float:
-    """Forward-sweep mu update: same closed form evaluated at the new W; lin
-    is eval_lin_all at w_new, computed when not given."""
-    return _mu_closed_form(schur, config, w_new, state.y, state.z, lin)
-
-
 def update_z(
-    state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector | None = None
+    state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector
 ) -> ConsensusVector:
     """Multiplier step along the primal residual; expects primals advanced.
 
-    h is the consensus map at the state's (W, mu), evaluated when not given.
+    h is the consensus map at the state's (W, mu).
     """
-    if h is None:
-        h = apply_hmap(schur, state.w, state.mu)
     z = ConsensusVector.empty(schur)
     np.multiply(config.tau * config.sigma, state.y.flat - h.flat, out=z.flat)
     z.flat += state.z.flat
@@ -305,14 +276,14 @@ def update_z(
 def residuals(
     state: SolverState,
     schur: SchurData,
-    h: ConsensusVector | None = None,
-    proj_yi: np.ndarray | None = None,
+    h: ConsensusVector,
+    proj_yi: np.ndarray,
 ) -> tuple[float, float, float, float, float]:
     """Relative KKT residuals (err_W, err_mu, err_Y, err_eq) and their max.
 
     h is the consensus map at the state's (W, mu) and proj_yi the projection
-    of the vertex blocks of Y - Z; each is computed here when not given.
-    Raises NumericalError when an iterate or a residual is not finite.
+    of the vertex blocks of Y - Z. Raises NumericalError when an iterate or
+    a residual is not finite.
     """
     y, z = state.y, state.z
     h1t = schur.h1.transpose(0, 2, 1)
@@ -324,8 +295,6 @@ def residuals(
 
     err_mu = abs(1.0 + z.ylast + float(np.einsum("irs,rs->", z.yi, schur.h3))) / 2.0
 
-    if proj_yi is None:
-        proj_yi = kernels.project_psd_stack(y.yi - z.yi)
     proj = ConsensusVector.empty(schur)
     proj.y0[...] = kernels.project_psd(y.y0 - z.y0)
     proj.yi[...] = proj_yi
@@ -334,8 +303,6 @@ def residuals(
     norm_z = z.norm()
     err_y = _norm(y.flat - proj.flat) / (1.0 + norm_y + norm_z)
 
-    if h is None:
-        h = apply_hmap(schur, state.w, state.mu)
     norm_h = h.norm()
     err_eq = _norm(y.flat - h.flat) / (1.0 + norm_y + norm_h)
 
@@ -344,25 +311,6 @@ def residuals(
         raise NumericalError("non-finite iterate or residual")
     err = max(err_w, err_mu, err_y, err_eq)
     return err_w, err_mu, err_y, err_eq, err
-
-
-def lagrangian(
-    schur: SchurData,
-    config: SolverConfig,
-    y: ConsensusVector,
-    w: np.ndarray,
-    mu: float,
-    z: ConsensusVector,
-) -> float:
-    """Smooth part of the augmented Lagrangian (cone indicator omitted).
-
-    The indicator of the cone is constant in (W, mu), so this value is the
-    right objective for finite-difference stationarity checks of the sweep
-    updates.
-    """
-    sigma = config.sigma
-    shifted = y.flat - apply_hmap(schur, w, mu).flat + z.flat / sigma
-    return -mu + 0.5 * sigma * float(shifted @ shifted) - float(z.flat @ z.flat) / (2.0 * sigma)
 
 
 def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -387,13 +335,14 @@ _BREAKDOWNS = (np.linalg.LinAlgError, InvalidInputError, NumericalError, Singula
 
 def _project_pair(
     state: SolverState, h: ConsensusVector, sigma: float
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | Exception]:
     """Projections of Y_i - Z_i (for err_Y) and of G_i - Z_i/sigma (for the
     next Y step) in one batched call; both depend only on the current state.
 
-    If the batched call fails, the first half is projected alone, so a
-    failure surfaces where the unbatched order meets it: in this row's err_Y,
-    or else in the next Y step, which then projects its own target.
+    If the batched call fails, each half is projected alone, so a failure
+    surfaces where the unbatched order meets it: a failure in the first half
+    ends this row's err_Y; one in the second is returned in place of the
+    projection and raised at the next Y step.
     """
     y, z = state.y, state.z
     n = y.yi.shape[0]
@@ -401,13 +350,17 @@ def _project_pair(
     try:
         out = kernels.project_psd_stack(pair)
     except _BREAKDOWNS:
-        return kernels.project_psd_stack(pair[:n]), None
+        proj_yi = kernels.project_psd_stack(pair[:n])
+        try:
+            return proj_yi, kernels.project_psd_stack(pair[n:])
+        except _BREAKDOWNS as exc:
+            return proj_yi, exc
     return out[:n], out[n:]
 
 
 def _record(
     state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector, k: int
-) -> np.ndarray | None:
+) -> np.ndarray | Exception:
     """Append history row k; return the next Y step's vertex projection."""
     proj_yi, y_next = _project_pair(state, h, config.sigma)
     err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj_yi)
@@ -423,25 +376,29 @@ def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) ->
     the stopping rule is only evaluated after full iterations. On an
     eigensolver or linear-solve breakdown, or a non-finite iterate, the
     history ends at the last complete row and the status is
-    numerical-failure.
+    numerical-failure. Overflow inside the loop is such a breakdown, caught
+    by the finite checks rather than reported as a floating-point warning.
     """
     state = init(schur, config, start)
     status = MAX_ITERS
     try:
-        lin = eval_lin_all(schur, state.w)
-        y_next = _record(state, schur, config, apply_hmap(schur, state.w, state.mu, lin), 0)
-        for k in range(1, config.max_iters + 1):
-            state.y = update_y(state, schur, config, y_next)
-            mu_bar = backward_mu(state, schur, config, lin)
-            state.w = update_w(state, schur, config, mu_bar)
+        with np.errstate(over="ignore", invalid="ignore"):
             lin = eval_lin_all(schur, state.w)
-            state.mu = forward_mu(state, schur, config, state.w, lin)
-            h = apply_hmap(schur, state.w, state.mu, lin)
-            state.z = update_z(state, schur, config, h)
-            y_next = _record(state, schur, config, h, k)
-            if state.history[-1].err < config.eps:
-                status = CONVERGED
-                break
+            y_next = _record(state, schur, config, apply_hmap(schur, state.w, state.mu, lin), 0)
+            for k in range(1, config.max_iters + 1):
+                if isinstance(y_next, Exception):
+                    raise y_next
+                state.y = update_y(state, schur, config, y_next)
+                mu_bar = backward_mu(state, schur, config, lin)
+                state.w = update_w(state, schur, config, mu_bar)
+                lin = eval_lin_all(schur, state.w)
+                state.mu = forward_mu(state, schur, config, lin)
+                h = apply_hmap(schur, state.w, state.mu, lin)
+                state.z = update_z(state, schur, config, h)
+                y_next = _record(state, schur, config, h, k)
+                if state.history[-1].err < config.eps:
+                    status = CONVERGED
+                    break
     except _BREAKDOWNS:
         status = NUMERICAL_FAILURE
 

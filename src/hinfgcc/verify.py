@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, SingularSystemError
 from .model import PlantModel
 from .problem import ExtendedMatrices, eval_theta1
 
@@ -245,55 +245,54 @@ def check_feasibility(
     ext: ExtendedMatrices, w: np.ndarray, mu: float, tol: float = 1e-6
 ) -> FeasibilityReport:
     """Evaluate the stability block at every vertex; pass iff max eig <= tol."""
-    rows = []
-    for i in range(ext.N):
-        top = eval_theta1(ext, i, w, mu)
-        max_eig = float(kernels.sym_eig(top).eigenvalues[0])
-        rows.append(VertexFeasibility(i, max_eig, max_eig <= tol))
+    max_eig = kernels.max_eigs(eval_theta1(ext, w, mu))
+    rows = tuple(VertexFeasibility(i, float(e), float(e) <= tol) for i, e in enumerate(max_eig))
     w_min = float(kernels.sym_eig(w).eigenvalues[-1])
-    return FeasibilityReport(tuple(rows), w_min, float(mu), tol)
+    return FeasibilityReport(rows, w_min, float(mu), tol)
+
+
+# Cap on certified_attenuation's mu (so gamma >= 2^-27); it binds when the
+# vertex blocks barely or never tighten as mu grows, as with B1 = 0.
+MU_CERT_MAX = 2.0**54
 
 
 def certified_attenuation(
-    ext: ExtendedMatrices, w: np.ndarray, bisection_steps: int = 120
+    ext: ExtendedMatrices, w: np.ndarray
 ) -> tuple[float, float] | None:
     """Largest mu for which (W, mu) is feasible at every vertex, with gamma.
 
-    The stability block is affine and monotone nondecreasing in mu (its mu
-    coefficient B1 B1^T is PSD), so the largest feasible mu is found by
-    bisection; the feasible end of the bracket is returned so the certificate
-    never overstates mu. Returns None when the state block W1 of W is not
-    positive definite (the bounded real lemma needs W1 > 0, and without it
-    the gain W encodes may destabilize the plant) or when even mu -> 0+ is
-    infeasible.
+    The stability block is affine in mu, theta1_i(W, mu) = theta1_i(W, 0)
+    + mu B1 B1^T. With L_i L_i^T = -theta1_i(W, 0) it is <= 0 exactly when
+    mu <= 1 / lambda_max(L_i^{-1} B1 B1^T L_i^{-T}), so the certificate is
+    the smallest of these bounds over the vertices, at most MU_CERT_MAX.
+    That closed form is exact only up to rounding, so the certificate never
+    overstates mu: until the batched check of check_feasibility gives every
+    block a max eigenvalue <= 0, mu steps down by one ulp, then by steps
+    that double. (A typical closed form is off by a few ulps. When some
+    -theta1_i(W, 0) is barely definite the check is noise over a range of
+    mu as wide as mu itself, which ulp steps alone would take ~2^52 checks
+    to leave.)
+
+    Returns None when the state block W1 of W is not positive definite (the
+    bounded real lemma needs W1 > 0, and without it the gain W encodes may
+    destabilize the plant), when some -theta1_i(W, 0) is not positive
+    definite, or when no mu > 0 passes the check.
     """
     n = ext.n
     if not float(kernels.sym_eig(w[:n, :n]).eigenvalues[-1]) > 0.0:
         return None
-
-    def worst(mu: float) -> float:
-        return max(
-            float(kernels.sym_eig(eval_theta1(ext, i, w, mu)).eigenvalues[0])
-            for i in range(ext.N)
-        )
-
-    if worst(0.0) > 0.0:
+    try:
+        lam = kernels.max_pencil_eigs(ext.Q[:n, :n], -eval_theta1(ext, w, 0.0))
+    except SingularSystemError:
         return None
-    hi = 1.0
-    while worst(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e16:
-            break
-    lo = 0.0
-    for _ in range(bisection_steps):
-        mid = 0.5 * (lo + hi)
-        if worst(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
-        return None
-    return lo, 1.0 / math.sqrt(lo)
+    mu = 1.0 / max(float(lam.max()), 1.0 / MU_CERT_MAX)
+    step = mu - float(np.nextafter(mu, 0.0))
+    while kernels.max_eigs(eval_theta1(ext, w, mu)).max() > 0.0:
+        mu -= step
+        step *= 2.0
+        if not mu > 0.0:
+            return None
+    return mu, 1.0 / math.sqrt(mu)
 
 
 @dataclass(frozen=True)

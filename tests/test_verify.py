@@ -10,16 +10,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hinfgcc as hg
-from hinfgcc import verify
+from hinfgcc import kernels, verify
 from hinfgcc.verify import ClosedLoop
 
+import oracles
 from conftest import (
     PUBLISHED_EX1,
     PUBLISHED_EX2,
+    BuiltProblem,
     make_example1_plant,
     make_example2_plant,
     make_toy_plant,
 )
+from test_problem import random_problem
+
+# certified_attenuation's mu for example2's W* at its published settings,
+# as the 120-step bisection it replaced computed it
+EX2_BISECTION_MU = 0.02667209954708173
+
+
+def gain_encoding_w(rng, plant, scale):
+    """A W that encodes u = -K x for a random K: W1 = scale * P, W2 = W1 K^T,
+    W3 = K W1 K^T + scale * I, where P solves the Lyapunov equation of the
+    nominal closed loop A - B2 K when that is Hurwitz (so small scales
+    certify) and is a random positive definite matrix otherwise."""
+    n, m = plant.n, plant.m
+    k = 0.5 * rng.standard_normal((m, n))
+    acl = plant.A - plant.B2 @ k
+    if np.linalg.eigvals(acl).real.max() < 0.0:
+        lyap = np.kron(np.eye(n), acl) + np.kron(acl, np.eye(n))
+        p = np.linalg.solve(lyap, -np.eye(n).ravel()).reshape(n, n)
+        p = (p + p.T) / 2
+    else:
+        x = rng.standard_normal((n, n))
+        p = x @ x.T + 0.1 * np.eye(n)
+    w1 = scale * p
+    return np.block([[w1, w1 @ k.T], [k @ w1, k @ w1 @ k.T + scale * np.eye(m)]])
+
+
+def count_theta1_calls(monkeypatch):
+    calls = []
+    real = verify.eval_theta1
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "eval_theta1", counting)
+    return calls
 
 
 class TestClosedLoop:
@@ -282,6 +320,21 @@ class TestCheckFeasibility:
         assert len(report.per_vertex) == 256
         assert [row.vertex for row in report.per_vertex] == list(range(256))
 
+    def test_batched_check_matches_single_vertex_blocks(self, example2, example2_published_solution):
+        sol = example2_published_solution
+        report = hg.check_feasibility(example2.ext, sol.W_star, sol.mu_star, tol=1e-6)
+        expected = [
+            kernels.sym_eig(oracles.eval_theta1(example2.ext, i, sol.W_star, sol.mu_star)).eigenvalues[0]
+            for i in range(256)
+        ]
+        got = [row.theta1_max_eig for row in report.per_vertex]
+        npt.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        assert [row.feasible for row in report.per_vertex] == [e <= 1e-6 for e in expected]
+
+    def test_overflowing_blocks_rejected_without_warning(self, toy):
+        with pytest.raises(hg.InvalidInputError):
+            hg.check_feasibility(toy.ext, np.full((2, 2), 1e200), 1.0)
+
 
 class TestCertifiedAttenuation:
     def test_toy_certificate_is_exact(self, toy):
@@ -304,6 +357,83 @@ class TestCertifiedAttenuation:
     def test_infeasible_w_returns_none(self, toy):
         # W = 0 forces the stability block to mu * B1 B1^T which is never <= 0
         assert hg.certified_attenuation(toy.ext, np.zeros((2, 2))) is None
+
+    def test_example2_certificate_is_the_bisections(self, example2, example2_published_solution, monkeypatch):
+        calls = count_theta1_calls(monkeypatch)
+        mu_c, gamma_c = hg.certified_attenuation(example2.ext, example2_published_solution.W_star)
+        # never above the bisection's value and at most a few ulps below it
+        assert mu_c <= EX2_BISECTION_MU
+        assert mu_c >= EX2_BISECTION_MU - 4 * np.spacing(EX2_BISECTION_MU)
+        assert gamma_c == 1.0 / math.sqrt(mu_c)
+        # one evaluation at mu = 0 and one check per step, not a bisection
+        assert len(calls) <= 3
+
+    def test_no_disturbance_input_keeps_the_bisection_cap(self):
+        # with B1 = 0 the block does not depend on mu; the bisection's bracket
+        # stopped at 2^54, which the closed form keeps instead of dividing by 0
+        plant = hg.PlantModel(A=[[-1.0]], B1=[[0.0]], B2=[[1.0]], C=[[1.0], [0.0]], D=[[0.0], [1.0]])
+        hg.validate_plant(plant)
+        built = BuiltProblem(plant, hg.UncertaintySpec.none())
+        w = np.array([[1.0, 1.0], [1.0, 2.0]])
+        assert hg.certified_attenuation(built.ext, w) == (2.0**54, 2.0**-27)
+        assert oracles.certified_attenuation(built.ext, w) == (2.0**54, 2.0**-27)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        n_vertices=st.integers(1, 3),
+        log_scale=st.floats(-3.0, 0.0),
+    )
+    def test_closed_form_matches_bisection(self, seed, n, m, n_vertices, log_scale):
+        rng = np.random.default_rng(seed)
+        built = random_problem(rng, n=n, m=m, n_vertices=n_vertices)
+        ext = built.ext
+        w = gain_encoding_w(rng, built.plant, 10.0**log_scale)
+        got = hg.certified_attenuation(ext, w)
+        ref = oracles.certified_attenuation(ext, w)
+        assert (got is None) == (ref is None)
+        if got is None:
+            return
+        mu_c, gamma_c = got
+        assert abs(mu_c - ref[0]) <= 1e-12 * ref[0]
+        assert gamma_c == 1.0 / math.sqrt(mu_c)
+        # never overstated: the package's check passes at the returned mu
+        assert all(v.feasible for v in hg.check_feasibility(ext, w, mu_c, tol=0.0).per_vertex)
+
+    def test_barely_definite_block_ends_in_few_checks(self, monkeypatch):
+        # W1 = I, B2 = I, C = 0, D^T D = I give theta1(W, 0) =
+        # (W2 - I)(W2 - I)^T + A + A^T - I; W2 puts one eigenvalue of that
+        # within rounding of 0, where the check is noise over a range of mu
+        # as wide as mu itself
+        rng = np.random.default_rng(1)
+        calls = count_theta1_calls(monkeypatch)
+        longest = 0
+        for _ in range(30):
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            a, b = rng.uniform(0.5, 2.0, 2)
+            plant = hg.PlantModel(
+                A=(q @ np.diag([-a, -b]) @ q.T + np.eye(2)) / 2,
+                B1=rng.standard_normal((2, 2)),
+                B2=np.eye(2),
+                C=np.zeros((4, 2)),
+                D=np.vstack([np.zeros((2, 2)), np.eye(2)]),
+            )
+            ext = BuiltProblem(plant, hg.UncertaintySpec.none()).ext
+            w = 3.0 * np.eye(4)
+            w[:2, :2] = np.eye(2)
+            w[:2, 2:] = np.eye(2) + q @ np.diag([math.sqrt(a), 0.5 * math.sqrt(b)]) @ q.T
+            w[2:, :2] = w[:2, 2:].T
+            calls.clear()
+            cert = hg.certified_attenuation(ext, w)
+            longest = max(longest, len(calls))
+            assert len(calls) <= 60
+            if cert is not None:
+                assert all(v.feasible for v in hg.check_feasibility(ext, w, cert[0], tol=0.0).per_vertex)
+        # some closed form needed stepping far below itself: one ulp at a
+        # time that would take more than 2^30 checks
+        assert longest > 30
 
     def test_feasible_pair_bounds_every_vertex_norm(self, toy):
         # feasibility at tol 1e-8 with mu > 0 implies the sweep peak of the
