@@ -7,6 +7,11 @@ one place. All functions are pure and safe to call concurrently.
 Only numpy is used. The one linear system the solver meets, the p^2 x p^2
 W operator, is inverted once through its Cholesky factor (spd_factor), so
 each iteration's solve is a single matrix-vector product (spd_solve).
+
+The solver's 2N vertex projections per iteration (project_psd_stack) are
+screened by one batched Cholesky factorization: the positive definite
+blocks, which inactive vertices give, are their own projection, and only
+the rest are eigendecomposed.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DimensionError,
@@ -89,17 +95,35 @@ def project_psd(s: np.ndarray) -> np.ndarray:
     return symmetrize(out)
 
 
+def _clip_stack(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalue clipping of every block of a symmetric (k, n, n) stack."""
+    w, v = np.linalg.eigh(stack)
+    out = v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2))
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
 def project_psd_stack(stack: np.ndarray) -> np.ndarray:
     """Batched project_psd over the leading axis of a (k, n, n) array.
 
     Same clipping policy as project_psd; kept here so every projection in
-    the package shares it.
+    the package shares it. One batched Cholesky factorization screens the
+    stack first: a block it factors is positive definite and is its own
+    projection, so it is returned as its symmetric part; only the blocks
+    that fail the screen are eigendecomposed. If none passes, the whole
+    stack goes through the eigensolver as one batch.
     """
     stack = _check_finite(stack, "stack")
     stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
-    w, v = np.linalg.eigh(stack)
-    out = v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2))
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    # the gufunc behind np.linalg.cholesky: a block it cannot factor comes
+    # back as NaN (with an invalid-value flag) instead of failing the call
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(stack, signature="d->d")
+    fails = np.isnan(chol[..., 0, 0])
+    if fails.all():
+        return _clip_stack(stack)
+    if fails.any():
+        stack[fails] = _clip_stack(stack[fails])
+    return stack
 
 
 def project_nonneg(x: float) -> float:

@@ -17,8 +17,9 @@ Each piece of work is done once per iteration:
     the next Y step.
   - The vertex blocks of Y - Z (for err_Y) and of G - Z/sigma (for the next
     Y step) depend only on the state after the iteration, so they go through
-    one batched projection of 2N blocks; the two p x p blocks stay on
-    kernels.project_psd.
+    one batched projection of 2N blocks, in which only the blocks that are
+    not positive definite are eigendecomposed (kernels.project_psd_stack);
+    the two p x p blocks stay on kernels.project_psd.
   - Y, Z and h are ConsensusVectors: one flat buffer each, with block views,
     so the Z step is one axpy and every norm is one dot product.
 

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.linalg import _umath_linalg
 
 from hinfgcc import kernels
 from hinfgcc.errors import (
@@ -88,6 +89,107 @@ class TestProjectPsd:
         batched = kernels.project_psd_stack(stack)
         for i in range(8):
             npt.assert_allclose(batched[i], kernels.project_psd(stack[i]), atol=1e-12)
+
+
+def _block(rng, kind, n=6):
+    """A random n x n test block of the given kind, not exactly symmetric."""
+    m = rng.standard_normal((n, n))
+    pd = m @ m.T + 0.1 * np.eye(n)
+    if kind == "pd":
+        blk = pd
+    elif kind == "nd":
+        blk = -pd
+    elif kind == "indefinite":
+        q, _ = np.linalg.qr(m)
+        blk = (q * np.linspace(-2.0, 3.0, n)) @ q.T
+    else:  # rank-deficient PSD
+        r = m[:, : n - 2]
+        blk = r @ r.T
+    skew = 1e-3 * rng.standard_normal((n, n))
+    return blk + skew - skew.T
+
+
+def _clip_reference(stack):
+    """Per-block eigendecomposition with every negative eigenvalue clipped."""
+    out = []
+    for s in stack:
+        w, v = np.linalg.eigh((s + s.T) / 2)
+        out.append((v * np.clip(w, 0.0, None)) @ v.T)
+    return np.array(out)
+
+
+def _full_eigh_projection(stack):
+    """project_psd_stack before its Cholesky screen: every block through eigh."""
+    stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
+    w, v = np.linalg.eigh(stack)
+    out = v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2))
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+class TestProjectPsdStack:
+    KINDS = ("pd", "nd", "indefinite", "psd_rank_deficient")
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [KINDS * 3, ("pd",) * 5, ("indefinite",) * 5, ("nd", "pd"), ("pd", "psd_rank_deficient")],
+        ids=["mixed", "all_pd", "all_indefinite", "nd_pd", "pd_rank_deficient"],
+    )
+    def test_matches_per_block_clipping(self, kinds):
+        rng = np.random.default_rng(20)
+        stack = np.stack([_block(rng, kind) for kind in kinds])
+        got = kernels.project_psd_stack(stack)
+        for g, ref, s in zip(got, _clip_reference(stack), stack):
+            assert np.abs(g - ref).max() <= 1e-13 * max(1.0, np.linalg.norm(s))
+            assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("kinds", [KINDS * 2 + ("pd",) * 3, ("pd",) * 7], ids=["mixed", "all_pd"])
+    def test_definite_blocks_come_back_as_their_symmetric_part(self, kinds):
+        rng = np.random.default_rng(21)
+        stack = np.stack([_block(rng, kind) for kind in kinds])
+        got = kernels.project_psd_stack(stack)
+        sym = (stack + np.swapaxes(stack, -1, -2)) / 2.0
+        for g, s, kind in zip(got, sym, kinds):
+            if kind == "pd":
+                assert g.tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_all_indefinite_stack_is_bitwise_the_full_eigensolve(self, n):
+        # no block passes the screen on the aircraft example, whose arithmetic
+        # must stay that of the unscreened projection
+        rng = np.random.default_rng(23)
+        stack = np.stack([_block(rng, kind, n=n) for kind in ("indefinite", "nd") * 3])
+        assert kernels.project_psd_stack(stack).tobytes() == _full_eigh_projection(stack).tobytes()
+
+    def test_input_is_not_modified(self):
+        rng = np.random.default_rng(24)
+        stack = np.stack([_block(rng, kind) for kind in self.KINDS])
+        before = stack.copy()
+        kernels.project_psd_stack(stack)
+        assert stack.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        stack = np.stack([np.eye(3), -np.eye(3)])
+        stack[1, 2, 0] = bad
+        with pytest.raises(InvalidInputError):
+            kernels.project_psd_stack(stack)
+
+    def test_cholesky_gufunc_marks_failed_blocks_with_nan(self):
+        # project_psd_stack reads a block's failure from the private gufunc
+        # behind np.linalg.cholesky; if a numpy release changes this contract
+        # the screen would skip blocks that need clipping, so fail loudly here
+        rng = np.random.default_rng(25)
+        kinds = self.KINDS + ("pd", "nd")
+        stack = np.stack([(b + b.T) / 2 for b in (_block(rng, kind) for kind in kinds)])
+        stack[3] = np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])  # exactly singular
+        with np.errstate(invalid="ignore"):  # RuntimeWarnings are errors in this suite
+            chol = _umath_linalg.cholesky_lo(stack, signature="d->d")
+        for c, s, kind in zip(chol, stack, kinds):
+            if kind == "pd":
+                assert np.isfinite(c).all()
+                npt.assert_array_equal(c, np.linalg.cholesky(s))
+            else:
+                assert np.isnan(c).all()
 
 
 class TestProjectNonneg:

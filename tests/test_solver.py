@@ -453,8 +453,10 @@ class TestNonFiniteIterates:
 # One ADMM iteration as the loop performed it before the constraint map was
 # shared, the two vertex projections batched and the consensus vectors made
 # flat: every step rebuilds what it needs from (W, mu, Y, Z), with np.clip and
-# the W solve written out as a product with the operator's inverse. solve()
-# must reproduce its W and mu bit for bit.
+# the W solve written out as a product with the operator's inverse. Its vertex
+# projection skips the eigensolver for the blocks a per-block Cholesky
+# factorization accepts, as kernels.project_psd_stack does with its batched
+# screen. solve() must reproduce its W and mu bit for bit.
 
 
 def _ref_project_psd(s):
@@ -466,10 +468,21 @@ def _ref_project_psd(s):
 
 
 def _ref_project_stack(stack):
+    """Blocks with a Cholesky factor are their own projection; the rest are
+    clipped through one batched eigendecomposition."""
     stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
-    w, v = np.linalg.eigh(stack)
-    out = v @ (np.clip(w, 0.0, None)[..., None] * np.swapaxes(v, -1, -2))
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    rest = np.ones(len(stack), dtype=bool)
+    for i, blk in enumerate(stack):
+        try:
+            np.linalg.cholesky(blk)
+            rest[i] = False
+        except np.linalg.LinAlgError:
+            pass
+    if rest.any():
+        w, v = np.linalg.eigh(stack[rest])
+        out = v @ (np.clip(w, 0.0, None)[..., None] * np.swapaxes(v, -1, -2))
+        stack[rest] = (out + np.swapaxes(out, -1, -2)) / 2.0
+    return stack
 
 
 def _ref_g_all(s, w, mu):
@@ -662,3 +675,25 @@ class TestPinnedIterationCounts:
     def test_published_settings(self, example1_published_solution, example2_published_solution):
         assert example1_published_solution.iters == 7333
         assert example2_published_solution.iters == 357
+
+
+class TestProjectionScreen:
+    def test_most_example2_blocks_skip_the_eigensolver(self, example2, monkeypatch):
+        """At convergence most vertices are inactive: their projected blocks
+        are positive definite and pass the Cholesky screen untouched."""
+        from conftest import PUBLISHED_EX2
+
+        real = np.linalg.eigh
+        counted = {"matrices": 0}
+
+        def counting_eigh(a, *args, **kwargs):
+            counted["matrices"] += int(np.prod(np.shape(a)[:-2]))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        config = hg.SolverConfig(sigma=PUBLISHED_EX2["sigma"], tau=PUBLISHED_EX2["tau"], eps=PUBLISHED_EX2["eps"])
+        sol = hg.solve(example2.schur, config)
+        assert sol.iters == 357
+        # 2N vertex blocks and the two p x p blocks are offered per iteration
+        offered = (2 * example2.schur.N + 2) * sol.iters
+        assert counted["matrices"] < 0.25 * offered

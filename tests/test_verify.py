@@ -25,8 +25,9 @@ from conftest import (
 from test_problem import random_problem
 
 # certified_attenuation's mu for example2's W* at its published settings,
-# as the 120-step bisection it replaced computed it
-EX2_BISECTION_MU = 0.02667209954708173
+# as the 120-step bisection it replaced (tests/oracles.certified_attenuation)
+# computes it; W* is the one solved with the Cholesky-screened projection
+EX2_BISECTION_MU = 0.02667209954708176
 
 
 def gain_encoding_w(rng, plant, scale):
