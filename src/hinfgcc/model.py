@@ -39,11 +39,8 @@ class PlantModel:
     D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "B1", _as_matrix(self.B1, "B1"))
-        object.__setattr__(self, "B2", _as_matrix(self.B2, "B2"))
-        object.__setattr__(self, "C", _as_matrix(self.C, "C"))
-        object.__setattr__(self, "D", _as_matrix(self.D, "D"))
+        for name in ("A", "B1", "B2", "C", "D"):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise DimensionError(f"A must be square, got {self.A.shape}")
@@ -170,7 +167,8 @@ class UncertaintySpec:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """The extreme systems (A_i, B2_i) of the uncertainty polytope.
+    """The extreme systems (A_i, B2_i) of the uncertainty polytope as two
+    stacks; indexing and iteration give (A_i, B2_i) pairs of views.
 
     Enumeration order is deterministic: uncertain entries are ordered
     row-major with A before B2, and the binary expansion of the vertex index
@@ -179,17 +177,18 @@ class VertexSet:
     bound; with no uncertainty the single vertex is the nominal plant.
     """
 
-    vertices: tuple[tuple[np.ndarray, np.ndarray], ...]
+    A: np.ndarray  # (N, n, n)
+    B2: np.ndarray  # (N, n, m)
 
     @property
     def N(self) -> int:
-        return len(self.vertices)
+        return self.A.shape[0]
 
     def __iter__(self):
-        return iter(self.vertices)
+        return zip(self.A, self.B2)
 
     def __getitem__(self, i):
-        return self.vertices[i]
+        return self.A[i], self.B2[i]
 
 
 def enumerate_vertices(plant: PlantModel, spec: UncertaintySpec) -> VertexSet:
@@ -201,7 +200,8 @@ def enumerate_vertices(plant: PlantModel, spec: UncertaintySpec) -> VertexSet:
                     f"vertex shapes {a.shape}/{b.shape} do not match plant "
                     f"{plant.A.shape}/{plant.B2.shape}"
                 )
-        return VertexSet(tuple((a.copy(), b.copy()) for a, b in spec.vertex_list))
+        a, b2 = zip(*spec.vertex_list)
+        return VertexSet(A=np.stack(a), B2=np.stack(b2))
 
     da = spec.delta_a if spec.delta_a is not None else np.zeros_like(plant.A)
     db = spec.delta_b2 if spec.delta_b2 is not None else np.zeros_like(plant.B2)
@@ -212,12 +212,11 @@ def enumerate_vertices(plant: PlantModel, spec: UncertaintySpec) -> VertexSet:
 
     # (matrix, row, col, fraction) per uncertain entry, row-major, A first;
     # zero-nominal entries are skipped: a relative bound on 0 is still 0.
-    entries = []
-    for mat_key, nominal, frac in (("A", plant.A, da), ("B2", plant.B2, db)):
-        for i in range(nominal.shape[0]):
-            for j in range(nominal.shape[1]):
-                if frac[i, j] > 0.0 and nominal[i, j] != 0.0:
-                    entries.append((mat_key, i, j, frac[i, j]))
+    entries = [
+        (key, i, j, frac[i, j])
+        for key, nominal, frac in (("A", plant.A, da), ("B2", plant.B2, db))
+        for i, j in zip(*np.nonzero((frac > 0.0) & (nominal != 0.0)))
+    ]
 
     u = len(entries)
     if u > 0 and 2**u > spec.cap:
@@ -226,15 +225,10 @@ def enumerate_vertices(plant: PlantModel, spec: UncertaintySpec) -> VertexSet:
             f"exceeding the cap of {spec.cap}"
         )
 
-    vertices = []
-    for index in range(2**u):
-        ai = plant.A.copy()
-        bi = plant.B2.copy()
-        for bit, (mat_key, i, j, frac) in enumerate(entries):
-            factor = 1.0 + frac if (index >> bit) & 1 else 1.0 - frac
-            if mat_key == "A":
-                ai[i, j] = plant.A[i, j] * factor
-            else:
-                bi[i, j] = plant.B2[i, j] * factor
-        vertices.append((ai, bi))
-    return VertexSet(tuple(vertices))
+    stacks = {key: np.repeat(getattr(plant, key)[None], 2**u, axis=0) for key in ("A", "B2")}
+    # upper[index, bit]: vertex index takes entry bit at its upper bound
+    upper = ((np.arange(2**u)[:, None] >> np.arange(u)) & 1).astype(bool)
+    for bit, (key, i, j, frac) in enumerate(entries):
+        nominal = getattr(plant, key)[i, j]
+        stacks[key][:, i, j] = np.where(upper[:, bit], nominal * (1.0 + frac), nominal * (1.0 - frac))
+    return VertexSet(**stacks)

@@ -5,7 +5,7 @@ and a scalar mu = 1/gamma^2. Feasibility of a pair (W, mu) means the n x n
 quadratic stability block is negative semidefinite at every vertex; the
 equivalent Schur-complement form turns each of those quadratic constraints
 into a linear r x r semidefinite constraint (r = m + 2n) built from constant
-operator matrices h0, h1[i], h2, h3.
+operator matrices h0, h1[i], h2, h3, with the vertex stacks written into h1.
 """
 
 from __future__ import annotations
@@ -20,20 +20,22 @@ from .model import PlantModel, VertexSet
 
 @dataclass(frozen=True)
 class ExtendedMatrices:
-    """Vertexwise extended system matrices and the shared weights.
+    """The vertex set's stacks A and B2 with the weight blocks of the
+    synthesis program, B1B1t = B1 B1^T, CtC = C^T C and DtD = D^T D."""
 
-    F[i] stacks [[A_i, -B2_i], [0, 0]]; Q and R collect the disturbance and
-    output weights blockdiagonally; rhalf is the symmetric square root of R;
-    V = [I_n 0] selects the state block.
-    """
+    A: np.ndarray  # (N, n, n)
+    B2: np.ndarray  # (N, n, m)
+    B1B1t: np.ndarray  # (n, n)
+    CtC: np.ndarray  # (n, n)
+    DtD: np.ndarray  # (m, m)
 
-    F: np.ndarray  # (N, p, p)
-    Q: np.ndarray  # (p, p)
-    R: np.ndarray  # (p, p)
-    rhalf: np.ndarray  # (p, p)
-    V: np.ndarray  # (n, p)
-    n: int
-    m: int
+    @property
+    def n(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.B2.shape[2]
 
     @property
     def p(self) -> int:
@@ -41,45 +43,55 @@ class ExtendedMatrices:
 
     @property
     def N(self) -> int:
-        return self.F.shape[0]
+        return self.A.shape[0]
 
 
 def build_extended(plant: PlantModel, vset: VertexSet) -> ExtendedMatrices:
-    """Assemble the extended matrices for every vertex of the polytope."""
-    n, m = plant.n, plant.m
-    p = n + m
-    F = np.zeros((vset.N, p, p))
-    for i, (ai, bi) in enumerate(vset):
-        F[i, :n, :n] = ai
-        F[i, :n, n:] = -bi
-    Q = np.zeros((p, p))
-    Q[:n, :n] = plant.B1 @ plant.B1.T
-    R = np.zeros((p, p))
-    R[:n, :n] = plant.C.T @ plant.C
-    R[n:, n:] = plant.D.T @ plant.D
-    rhalf = kernels.sym_sqrt(R)
-    V = np.hstack([np.eye(n), np.zeros((n, m))])
-    return ExtendedMatrices(F=F, Q=Q, R=R, rhalf=rhalf, V=V, n=n, m=m)
+    """The vertex stacks of vset together with the plant's weight blocks."""
+    return ExtendedMatrices(
+        A=vset.A,
+        B2=vset.B2,
+        B1B1t=plant.B1 @ plant.B1.T,
+        CtC=plant.C.T @ plant.C,
+        DtD=plant.D.T @ plant.D,
+    )
 
 
 @dataclass(frozen=True)
 class SchurData:
     """Constant operator matrices of the Schur-form conic program.
 
-    wsolve_inv is the inverse of w_operator(h1, h2), the SPD matrix of the
-    vectorized W subproblem, computed once since the operator does not
-    change across iterations.
+    The sizes are those of the h1 stack, (N, r, p) with r = m + 2n and
+    p = m + n. wsolve_inv is the inverse of w_operator(h1, h2), the SPD
+    matrix of the vectorized W subproblem, computed once.
     """
 
     h0: np.ndarray  # (r, r)
     h1: np.ndarray  # (N, r, p)
     h2: np.ndarray  # (p, r)
     h3: np.ndarray  # (r, r)
-    p: int
-    r: int
-    N: int
     wsolve_inv: np.ndarray  # (p^2, p^2)
     tr_h3_sq: float
+
+    @property
+    def N(self) -> int:
+        return self.h1.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.h1.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.h1.shape[2]
+
+    @property
+    def n(self) -> int:
+        return self.r - self.p
+
+    @property
+    def m(self) -> int:
+        return 2 * self.p - self.r
 
 
 def w_operator(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -101,26 +113,29 @@ def w_operator(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 def build_schur(ext: ExtendedMatrices) -> SchurData:
-    """Build the Schur-form operator matrices and invert the W-solve matrix."""
+    """Build the Schur-form operator matrices and invert the W-solve matrix;
+    h1[i] = [[-A_i, B2_i], [R^1/2]] with R = blockdiag(C^T C, D^T D)."""
     n, m, p, N = ext.n, ext.m, ext.p, ext.N
     r = m + 2 * n
 
     h0 = np.zeros((r, r))
     h0[n:, n:] = np.eye(p)
-    h2 = np.hstack([ext.V.T, np.zeros((p, p))])
+    h2 = np.zeros((p, r))
+    h2[:n, :n] = np.eye(n)
     h3 = np.zeros((r, r))
-    h3[:n, :n] = -(ext.V @ ext.Q @ ext.V.T)
+    h3[:n, :n] = -ext.B1B1t
+    weight = np.zeros((p, p))
+    weight[:n, :n] = ext.CtC
+    weight[n:, n:] = ext.DtD
     h1 = np.empty((N, r, p))
-    h1[:, :n, :] = -(ext.V @ ext.F)
-    h1[:, n:, :] = ext.rhalf
+    h1[:, :n, :n] = -ext.A
+    h1[:, :n, n:] = ext.B2
+    h1[:, n:, :] = kernels.sym_sqrt(weight)
     return SchurData(
         h0=h0,
         h1=h1,
         h2=h2,
         h3=h3,
-        p=p,
-        r=r,
-        N=N,
         wsolve_inv=kernels.spd_factor(w_operator(h1, h2)),
         tr_h3_sq=float(np.trace(h3 @ h3)),
     )
@@ -140,22 +155,16 @@ def eval_theta1(ext: ExtendedMatrices, w: np.ndarray, mu: float) -> np.ndarray:
     eigenvalue kernels reject them.
     """
     n = ext.n
-    a = ext.F[:, :n, :n]
-    b2 = -ext.F[:, :n, n:]
-    w1 = w[:n, :n]
-    w2 = w[:n, n:]
-    ctc = ext.R[:n, :n]
-    dtd = ext.R[n:, n:]
-    b1b1t = ext.Q[:n, :n]
+    a, b2, w1, w2 = ext.A, ext.B2, w[:n, :n], w[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         out = (
             a @ w1
             - b2 @ w2.T
             + w1 @ a.transpose(0, 2, 1)
             - w2 @ b2.transpose(0, 2, 1)
-            + w1 @ ctc @ w1
-            + w2 @ dtd @ w2.T
-            + mu * b1b1t
+            + w1 @ ext.CtC @ w1
+            + w2 @ ext.DtD @ w2.T
+            + mu * ext.B1B1t
         )
         return kernels.symmetrize(out)
 

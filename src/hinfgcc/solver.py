@@ -403,19 +403,17 @@ def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) ->
     except _BREAKDOWNS:
         status = NUMERICAL_FAILURE
 
-    n_from_r = schur.r - schur.p  # r = m + 2n and p = m + n
-    m_dim = schur.p - n_from_r
     if status == CONVERGED and state.mu <= 0.0:
         # mu stuck at the cone boundary: gamma = 1/sqrt(mu) is undefined
         status = NUMERICAL_FAILURE
-    try:
-        gain = extract_gain(state.w, n_from_r, m_dim)
-    except ExtractionError:
-        gain = None
-        if status == CONVERGED:
-            status = NUMERICAL_FAILURE
-    # a failed run has no gamma estimate, whatever mu it stopped at
-    gamma = None
+    # a failed run has no gain or gamma estimate, whatever W and mu it ended at
+    gain = gamma = None
+    if status != NUMERICAL_FAILURE:
+        try:
+            gain = extract_gain(state.w, schur.n, schur.m)
+        except ExtractionError:
+            if status == CONVERGED:
+                status = NUMERICAL_FAILURE
     if status != NUMERICAL_FAILURE and state.mu > 0.0:
         gamma = 1.0 / math.sqrt(state.mu)
     return Solution(

@@ -282,7 +282,7 @@ def certified_attenuation(
     if not float(kernels.sym_eig(w[:n, :n]).eigenvalues[-1]) > 0.0:
         return None
     try:
-        lam = kernels.max_pencil_eigs(ext.Q[:n, :n], -eval_theta1(ext, w, 0.0))
+        lam = kernels.max_pencil_eigs(ext.B1B1t, -eval_theta1(ext, w, 0.0))
     except SingularSystemError:
         return None
     mu = 1.0 / max(float(lam.max()), 1.0 / MU_CERT_MAX)

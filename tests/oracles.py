@@ -2,12 +2,17 @@
 
 These are the single-vertex and unvectorized forms of the program's maps,
 the augmented Lagrangian used for finite-difference stationarity checks,
-the bisection that certified_attenuation's closed form replaced, and the
-one-call forms of the solver's steps: each rebuilds from the state the
-shared inputs that solve computes once per iteration and passes them on.
+the bisection that certified_attenuation's closed form replaced, the
+padded extended system and per-vertex enumeration loop that the vertex
+stacks replaced, and the one-call forms of the solver's steps: each
+rebuilds from the state the shared inputs that solve computes once per
+iteration and passes them on.
 """
 
 import math
+from typing import NamedTuple
+
+import numpy as np
 
 from hinfgcc import kernels, solver
 from hinfgcc.problem import eval_lin_all, w_operator
@@ -25,8 +30,8 @@ def eval_g(schur, i, w, mu):
 def eval_theta1(ext, i, w, mu):
     """Quadratic stability block for vertex i at (W, mu); feasible iff <= 0."""
     n = ext.n
-    ai = ext.F[i, :n, :n]
-    b2i = -ext.F[i, :n, n:]
+    ai = ext.A[i]
+    b2i = ext.B2[i]
     w1 = w[:n, :n]
     w2 = w[:n, n:]
     out = (
@@ -34,9 +39,9 @@ def eval_theta1(ext, i, w, mu):
         - b2i @ w2.T
         + w1 @ ai.T
         - w2 @ b2i.T
-        + w1 @ ext.R[:n, :n] @ w1
-        + w2 @ ext.R[n:, n:] @ w2.T
-        + mu * ext.Q[:n, :n]
+        + w1 @ ext.CtC @ w1
+        + w2 @ ext.DtD @ w2.T
+        + mu * ext.B1B1t
     )
     return kernels.symmetrize(out)
 
@@ -103,6 +108,84 @@ def certified_attenuation(ext, w, bisection_steps=120):
     if lo <= 0.0:
         return None
     return lo, 1.0 / math.sqrt(lo)
+
+
+# --- the padded extended system and the per-vertex enumeration loop -------------
+#
+# Frozen copies of the layout the package used before the vertex systems were
+# stored once as two stacks: F[i] = [[A_i, -B2_i], [0, 0]] (N, p, p), the p x p
+# weights Q = blockdiag(B1 B1^T, 0) and R = blockdiag(C^T C, D^T D), the
+# square root rhalf of R and the selector V = [I_n 0], from which the Schur
+# blocks were sliced. build_schur and enumerate_vertices must reproduce them.
+
+
+def enumerate_vertices_loop(plant, spec):
+    """Vertex pairs (A_i, B2_i) built one vertex at a time, in the
+    documented order; the spec is assumed valid."""
+    if spec.is_explicit:
+        return [(a.copy(), b.copy()) for a, b in spec.vertex_list]
+    da = spec.delta_a if spec.delta_a is not None else np.zeros_like(plant.A)
+    db = spec.delta_b2 if spec.delta_b2 is not None else np.zeros_like(plant.B2)
+    entries = []
+    for mat_key, nominal, frac in (("A", plant.A, da), ("B2", plant.B2, db)):
+        for i in range(nominal.shape[0]):
+            for j in range(nominal.shape[1]):
+                if frac[i, j] > 0.0 and nominal[i, j] != 0.0:
+                    entries.append((mat_key, i, j, frac[i, j]))
+    vertices = []
+    for index in range(2 ** len(entries)):
+        ai = plant.A.copy()
+        bi = plant.B2.copy()
+        for bit, (mat_key, i, j, frac) in enumerate(entries):
+            factor = 1.0 + frac if (index >> bit) & 1 else 1.0 - frac
+            if mat_key == "A":
+                ai[i, j] = plant.A[i, j] * factor
+            else:
+                bi[i, j] = plant.B2[i, j] * factor
+        vertices.append((ai, bi))
+    return vertices
+
+
+class PaddedSystem(NamedTuple):
+    F: np.ndarray  # (N, p, p)
+    Q: np.ndarray  # (p, p)
+    R: np.ndarray  # (p, p)
+    rhalf: np.ndarray  # (p, p)
+    V: np.ndarray  # (n, p)
+
+
+def padded_extended(plant, vertices):
+    """The padded extended system of a plant and its vertex pairs."""
+    n, m = plant.n, plant.m
+    p = n + m
+    F = np.zeros((len(vertices), p, p))
+    for i, (ai, bi) in enumerate(vertices):
+        F[i, :n, :n] = ai
+        F[i, :n, n:] = -bi
+    Q = np.zeros((p, p))
+    Q[:n, :n] = plant.B1 @ plant.B1.T
+    R = np.zeros((p, p))
+    R[:n, :n] = plant.C.T @ plant.C
+    R[n:, n:] = plant.D.T @ plant.D
+    V = np.hstack([np.eye(n), np.zeros((n, m))])
+    return PaddedSystem(F, Q, R, kernels.sym_sqrt(R), V)
+
+
+def padded_schur(padded):
+    """(h0, h1, h2, h3, wsolve_inv, tr_h3_sq) sliced out of the padded system."""
+    n, p = padded.V.shape
+    m = p - n
+    r = m + 2 * n
+    h0 = np.zeros((r, r))
+    h0[n:, n:] = np.eye(p)
+    h2 = np.hstack([padded.V.T, np.zeros((p, p))])
+    h3 = np.zeros((r, r))
+    h3[:n, :n] = -(padded.V @ padded.Q @ padded.V.T)
+    h1 = np.empty((padded.F.shape[0], r, p))
+    h1[:, :n, :] = -(padded.V @ padded.F)
+    h1[:, n:, :] = padded.rhalf
+    wsolve_inv = kernels.spd_factor(w_operator(h1, h2))
+    return h0, h1, h2, h3, wsolve_inv, float(np.trace(h3 @ h3))
 
 
 # --- one-call forms of the solver's steps ------------------------------------------

@@ -380,7 +380,7 @@ class TestCriterion8WsolveOracle:
             # structural invariants of every built problem
             min_floor = min(min_floor, float(np.linalg.eigvalsh(wsolve).min()))
             assert np.trace(s.h0 @ s.h3) == 0.0
-            b1b1t = built.ext.Q[: built.ext.n, : built.ext.n]
+            b1b1t = built.ext.B1B1t
             assert s.tr_h3_sq == pytest.approx(np.trace(b1b1t @ b1b1t), rel=1e-12)
         ok = worst <= 1e-9 and min_floor >= 1.0 - 1e-9
         report(

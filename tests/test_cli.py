@@ -93,14 +93,29 @@ class TestSolveCommand:
         with np.errstate(all="ignore"):
             code = cli.main(["solve", toy_file, "--sigma", sigma, "--out", str(out)])
         assert code == 5
-        # the report is written even when the verification table cannot be
-        # built, and a failed run reports no gamma
+        # a failed run reports no gamma, no gain and no verification table
         report = json.loads(out.read_text())
         assert report["status"] == "numerical-failure"
         assert report["gamma_star"] is None
-        assert "gamma*" not in capsys.readouterr().out
-        if sigma == "1e-200":
-            assert "non-finite" in report["verification"]["error"]
+        assert report["K_star"] is None
+        assert "verification" not in report
+        printed = capsys.readouterr().out
+        assert "gamma*" not in printed
+        assert "K*" not in printed
+
+    def test_verification_error_keeps_the_report(self, toy_file, in_tmp, monkeypatch, capsys):
+        # a gain whose table cannot be evaluated still gets its report
+        def broken(*args, **kwargs):
+            raise hinfgcc.InvalidInputError("matrix contains non-finite entries")
+
+        monkeypatch.setattr(cli.verify_mod, "check_feasibility", broken)
+        out = in_tmp / "r.json"
+        code = cli.main(["solve", toy_file, "--max-iters", "3", "--out", str(out)])
+        assert code == 4
+        report = json.loads(out.read_text())
+        assert report["K_star"] is not None
+        assert "non-finite" in report["verification"]["error"]
+        assert "verification failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
     def test_overflow_prints_no_floating_point_warning(self, toy_file, tmp_path, sigma):

@@ -215,7 +215,7 @@ class TestSweepUpdates:
         # where T0 reduces to -(Y0 + Z0/sigma)
         s = toy.schur
         zeroed = hg.SchurData(
-            h0=s.h0, h1=np.zeros_like(s.h1), h2=s.h2, h3=s.h3, p=s.p, r=s.r, N=s.N,
+            h0=s.h0, h1=np.zeros_like(s.h1), h2=s.h2, h3=s.h3,
             wsolve_inv=kernels.spd_factor(np.eye(s.p * s.p)),
             tr_h3_sq=s.tr_h3_sq,
         )
@@ -445,7 +445,8 @@ class TestNonFiniteIterates:
         sol = hg.solve(toy.schur, hg.SolverConfig(), (w, 1.0, ConsensusVector.zeros(toy.schur), z))
         assert sol.status == hg.NUMERICAL_FAILURE
         assert sol.iters == 0 and sol.history == []
-        assert (sol.K_star is None) == (bad == "W")
+        # a failed run reports no gain, whatever W it stopped at
+        assert sol.K_star is None
 
 
 # --- frozen copy of the unfused iteration ------------------------------------
