@@ -77,12 +77,25 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: true and false are not numbers, nor are strings."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix(data, name: str) -> np.ndarray:
     _require(isinstance(data, list) and data, f"{name} must be a non-empty nested array")
+    _require(
+        all(isinstance(row, list) for row in data),
+        f"{name} must be a 2-d array (rows of numbers)",
+    )
+    _require(
+        all(_is_number(x) for row in data for x in row),
+        f"{name} must contain only numbers",
+    )
     try:
         arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name} is not numeric: {exc}") from exc
+    except (OverflowError, ValueError) as exc:  # ragged rows, or an int beyond float range
+        raise SchemaError(f"{name} is not a matrix of floats: {exc}") from exc
     _require(arr.ndim == 2, f"{name} must be a 2-d array (rows of numbers)")
     _require(np.all(np.isfinite(arr)), f"{name} contains non-finite values")
     return arr
@@ -122,7 +135,10 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
     else:
         _require(isinstance(unc, dict), "uncertainty must be an object")
         cap = unc.get("vertex_cap", DEFAULT_VERTEX_CAP)
-        _require(isinstance(cap, int) and cap >= 1, "vertex_cap must be a positive integer")
+        _require(
+            isinstance(cap, int) and not isinstance(cap, bool) and cap >= 1,
+            "vertex_cap must be a positive integer",
+        )
         known = {"relative_bounds", "vertices", "vertex_cap"}
         extra = set(unc) - known
         _require(not extra, f"unknown uncertainty keys: {sorted(extra)}")
@@ -169,6 +185,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
     allowed = {"sigma", "tau", "eps", "max_iters"}
     extra = set(settings) - allowed
     _require(not extra, f"unknown solver keys: {sorted(extra)}")
+    _config(settings)
     return plant, spec, dict(settings)
 
 
@@ -184,12 +201,23 @@ def load_gain(path: str, plant: PlantModel):
     w = _matrix(data["W"], "W") if "W" in data else None
     mu = data.get("mu")
     if mu is not None:
-        _require(isinstance(mu, (int, float)), "mu must be a number")
-        mu = float(mu)
+        _require(_is_number(mu), "mu must be a number")
+        try:
+            mu = float(mu)
+        except OverflowError:  # an integer beyond float range
+            mu = math.inf
+        _require(math.isfinite(mu), f"mu must be finite, got {mu}")
     if w is not None:
         p = plant.n + plant.m
         _require(w.shape == (p, p), f"W must be {p}x{p}, got {w.shape}")
     return gain, w, mu
+
+
+def _config(settings: dict) -> SolverConfig:
+    try:
+        return SolverConfig(**settings)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid solver settings: {exc}") from exc
 
 
 def _solver_config(settings: dict, args) -> SolverConfig:
@@ -202,10 +230,7 @@ def _solver_config(settings: dict, args) -> SolverConfig:
         merged["eps"] = args.eps
     if args.max_iters is not None:
         merged["max_iters"] = args.max_iters
-    try:
-        return SolverConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid solver settings: {exc}") from exc
+    return _config(merged)
 
 
 def _vertex_rows(
@@ -278,6 +303,8 @@ def cmd_solve(args) -> int:
         "status": sol.status,
         "iters": sol.iters,
         "wall_time_seconds": wall,
+        "gamma_certified": None,
+        "mu_certified": None,
         "mu_star": sol.mu_star,
         "gamma_star": sol.gamma_star,
         "K_star": sol.K_star.tolist() if sol.K_star is not None else None,
@@ -291,8 +318,12 @@ def cmd_solve(args) -> int:
         "history_csv": hist_path,
         "N": vset.N,
     }
+    peaks = []
     if sol.K_star is not None:
         try:
+            cert = verify_mod.certified_attenuation(ext, sol.W_star)
+            if cert is not None:
+                report["mu_certified"], report["gamma_certified"] = cert
             feas = verify_mod.check_feasibility(ext, sol.W_star, sol.mu_star, args.tol)
             rows = _vertex_rows(plant, vset, sol.K_star, feas)
         except HinfgccError as exc:
@@ -307,11 +338,19 @@ def cmd_solve(args) -> int:
                 "all_stable": all(r["stable"] for r in rows),
                 "feasibility_passed": all(r["feasible"] for r in rows),
             }
+            peaks = [r["sweep_peak"] for r in rows if r["sweep_peak"] is not None]
     _write_json(out, report)
 
     _say(f"status: {sol.status} after {sol.iters} iterations ({wall:.2f} s)")
+    if report["gamma_certified"] is not None:
+        _say(f"certified gamma = {report['gamma_certified']:.6g} "
+             f"(mu = {report['mu_certified']:.6g}): bounds every vertex's H-infinity norm")
+    elif sol.K_star is not None:
+        _say("certified gamma: none (no mu > 0 is certified for W*)")
     if sol.gamma_star is not None:
-        _say(f"gamma* = {sol.gamma_star:.6g} (mu* = {sol.mu_star:.6g})")
+        _say(f"gamma* = {sol.gamma_star:.6g} (mu* = {sol.mu_star:.6g}), the ADMM estimate")
+    if peaks:
+        _say(f"worst vertex H-infinity norm = {max(peaks):.6g}")
     if sol.K_star is not None:
         _say(f"K* = {np.array_str(sol.K_star, precision=6)}")
     _say(f"report: {out}\nhistory: {hist_path}")
@@ -479,7 +518,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, CapacityError) as exc:
+    except (SchemaError, CapacityError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except AssumptionError as exc:

@@ -12,6 +12,13 @@ The solver's 2N vertex projections per iteration (project_psd_stack) are
 screened by one batched Cholesky factorization: the positive definite
 blocks, which inactive vertices give, are their own projection, and only
 the rest are eigendecomposed.
+
+The per-vertex norm check calls eig_general and response_gains a few times
+per vertex on matrices of a few rows, where np.linalg's wrappers cost more
+than the LAPACK work. So these, like the Cholesky screen, call the gufuncs
+behind np.linalg (numpy.linalg._umath_linalg) directly, with np.linalg's
+error state: this module is their only caller, and tests/test_kernels.py
+pins the name, signature and failure signal of each one used.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     DimensionError,
@@ -32,6 +39,22 @@ from .errors import (
 # Inputs to sym_sqrt may dip this far below zero before they are rejected
 # rather than clipped.
 SQRT_PSD_TOL = 1e-6
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _raise_no_convergence(err, flag):
+    raise LinAlgError("LAPACK iteration did not converge")
+
+
+def _lapack_errors(handler):
+    """np.linalg's error state around a LAPACK gufunc: the gufunc flags a
+    failed matrix (singular, or an iteration that did not converge) as an
+    invalid value, which calls `handler`; overflow and underflow in its
+    output are not reported."""
+    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 class EigDecomp(NamedTuple):
@@ -187,19 +210,47 @@ def spd_solve(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def eig_general(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a general real square matrix (complex array)."""
+    """Eigenvalues of a general real square matrix: a complex array, or a
+    real one when every imaginary part is zero (np.linalg.eigvals' rule)."""
     a = _check_finite(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
+        with _lapack_errors(_raise_no_convergence):
+            w = _umath_linalg.eigvals(a, signature="d->D")
+    except LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
+    return w if w.imag.any() else w.real
 
 
-def max_singular_value(m: np.ndarray) -> float:
-    """Largest singular value of a real or complex matrix."""
+def response_gains(a: np.ndarray, b: np.ndarray, c: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Largest singular value of C (j w I - A)^{-1} B at each frequency w.
+
+    As np.linalg.solve does, a singular pencil j w I - A raises
+    np.linalg.LinAlgError, so a caller can fall back to one frequency at a
+    time; a response that overflows raises InvalidInputError.
+    """
+    # j w I - A, entry for entry as complex arithmetic forms it (the real
+    # part is 0 - A, which is +0 where A is -0)
+    n = a.shape[0]
+    pencil = np.zeros((omegas.size, n, n), dtype=complex)
+    pencil.real[...] = np.subtract(0.0, a)
+    pencil.reshape(omegas.size, n * n)[:, :: n + 1].imag = omegas[:, None]
+    with _lapack_errors(_raise_singular):
+        resolvent = _umath_linalg.solve(pencil, b, signature="DD->D")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as non-finite
+        response = c @ resolvent
+    return max_singular_value(response)
+
+
+def max_singular_value(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a real or complex matrix, or of each matrix
+    of a stack; an SVD that does not converge raises NumericalError."""
     m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    try:
+        with _lapack_errors(_raise_no_convergence):
+            return _umath_linalg.svd(m, signature="D->d" if m.dtype.kind == "c" else "d->d")[..., 0]
+    except LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc

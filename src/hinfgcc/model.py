@@ -84,18 +84,29 @@ class PlantValidation:
 def validate_plant(plant: PlantModel) -> PlantValidation:
     """Check the hard modeling assumptions and run advisory PBH rank tests.
 
-    Hard failures (raise AssumptionError): C^T D != 0, or D^T D not positive
+    Hard failures (raise AssumptionError): a weight B1 B1^T, C^T C, D^T D
+    or C^T D beyond the float range, C^T D != 0, or D^T D not positive
     definite. Advisory only (returned as warnings): PBH rank tests for
     stabilizability of [A, B2] and observability of [A, C]; rank tests near
     marginal cases can misfire, so they never fail the plant.
     """
-    ctd = plant.C.T @ plant.D
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        products = {
+            "B1 B1^T": plant.B1 @ plant.B1.T,
+            "C^T C": plant.C.T @ plant.C,
+            "D^T D": plant.D.T @ plant.D,
+            "C^T D": plant.C.T @ plant.D,
+        }
+    for name, product in products.items():
+        if not np.isfinite(product).all():
+            raise AssumptionError(f"{name} overflows the float range: rescale the plant")
+    ctd = products["C^T D"]
     ctd_max = float(np.abs(ctd).max()) if ctd.size else 0.0
     if ctd_max > CTD_TOL:
         raise AssumptionError(
             f"C^T D must be zero (max abs entry {ctd_max:.3e} > {CTD_TOL:g})"
         )
-    dtd_eigs = np.linalg.eigvalsh(kernels.symmetrize(plant.D.T @ plant.D))
+    dtd_eigs = np.linalg.eigvalsh(kernels.symmetrize(products["D^T D"]))
     dtd_min = float(dtd_eigs[0]) if dtd_eigs.size else 0.0
     if dtd_min < DTD_MIN_EIG:
         raise AssumptionError(
@@ -228,7 +239,12 @@ def enumerate_vertices(plant: PlantModel, spec: UncertaintySpec) -> VertexSet:
     stacks = {key: np.repeat(getattr(plant, key)[None], 2**u, axis=0) for key in ("A", "B2")}
     # upper[index, bit]: vertex index takes entry bit at its upper bound
     upper = ((np.arange(2**u)[:, None] >> np.arange(u)) & 1).astype(bool)
-    for bit, (key, i, j, frac) in enumerate(entries):
-        nominal = getattr(plant, key)[i, j]
-        stacks[key][:, i, j] = np.where(upper[:, bit], nominal * (1.0 + frac), nominal * (1.0 - frac))
+    with np.errstate(over="ignore"):  # reported below
+        for bit, (key, i, j, frac) in enumerate(entries):
+            nominal = getattr(plant, key)[i, j]
+            stacks[key][:, i, j] = np.where(
+                upper[:, bit], nominal * (1.0 + frac), nominal * (1.0 - frac)
+            )
+    if not all(np.isfinite(stack).all() for stack in stacks.values()):
+        raise AssumptionError("the uncertainty bounds put a vertex entry beyond the float range")
     return VertexSet(**stacks)

@@ -33,6 +33,7 @@ are reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,7 +62,8 @@ GAIN_COND_LIMIT = 1e12
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters: penalty sigma, step tau in (0, (1+sqrt 5)/2), stopping
-    tolerance eps and iteration cap.
+    tolerance eps and iteration cap. A bool is no value for any of them, and
+    the cap must be an integer (TypeError).
     """
 
     sigma: float = 1.0
@@ -70,6 +72,11 @@ class SolverConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
+        for name in ("sigma", "tau", "eps", "max_iters"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)}")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not (self.sigma > 0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not (0.0 < self.tau < TAU_MAX):

@@ -54,6 +54,11 @@ class ClosedLoop:
     b1: np.ndarray
     vertex: int = 0
 
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Eigenvalues of A_c, computed once for the margin and the sweep."""
+        return kernels.eig_general(self.ac)
+
 
 def closed_loop(
     plant: PlantModel, vertex: tuple[np.ndarray, np.ndarray], gain: np.ndarray, index: int = 0
@@ -73,7 +78,7 @@ def closed_loop(
 
 def stability_margin(cl: ClosedLoop) -> float:
     """Spectral abscissa of A_c; negative means asymptotically stable."""
-    return float(kernels.eig_general(cl.ac).real.max())
+    return float(cl.poles.real.max())
 
 
 @dataclass(frozen=True)
@@ -105,24 +110,19 @@ class SweepResult:
 def _gain_grid(cl: ClosedLoop, omegas: np.ndarray) -> np.ndarray:
     """Response gain at each frequency; singular points (only possible for a
     marginally stable or unstable loop) come back as NaN."""
-    n = cl.ac.shape[0]
-    pencil = 1j * omegas[:, None, None] * np.eye(n) - cl.ac
-    rhs = np.broadcast_to(cl.b1, (omegas.size, *cl.b1.shape))
     try:
-        resolvent = np.linalg.solve(pencil, rhs)
+        return kernels.response_gains(cl.ac, cl.b1, cl.cc, omegas)
     except np.linalg.LinAlgError:
         out = np.full(omegas.size, np.nan)
-        for k, omega in enumerate(omegas):
+        for k in range(omegas.size):
             try:
-                h = np.linalg.solve(1j * omega * np.eye(n) - cl.ac, cl.b1)
+                out[k] = kernels.response_gains(cl.ac, cl.b1, cl.cc, omegas[k : k + 1])[0]
             except np.linalg.LinAlgError:
                 continue
-            out[k] = kernels.max_singular_value(cl.cc @ h)
         return out
-    return np.linalg.svd(cl.cc @ resolvent, compute_uv=False)[:, 0]
 
 
-def _hinf_norm(cl: ClosedLoop, poles: np.ndarray) -> tuple[float, float]:
+def _hinf_norm(cl: ClosedLoop) -> tuple[float, float]:
     """Level-set iteration for a Hurwitz loop: (attained peak, its frequency).
 
     gamma is a singular value of G(jw) exactly when jw is an eigenvalue of
@@ -132,19 +132,35 @@ def _hinf_norm(cl: ClosedLoop, poles: np.ndarray) -> tuple[float, float]:
     them, each interval between crossings lying wholly above or below the
     level. It stops when no crossing is left or none of them raises the gain.
     """
-    ac, b1, cc = cl.ac, cl.b1, cl.cc
-    bbt = b1 @ b1.T
-    ctc = cc.T @ cc
     # peaks sit at DC or near the pole frequencies
+    poles = cl.poles
     trial = np.concatenate(([0.0], np.abs(poles), np.abs(poles.imag)))
     gains = _gain_grid(cl, trial)
     k = int(gains.argmax())
     best, best_freq = float(gains[k]), float(trial[k])
     if best == 0.0:
         return 0.0, 0.0
+    ac, b1, cc = cl.ac, cl.b1, cl.cc
+    n = ac.shape[0]
+    # only the B B^T / gamma^2 block changes from pass to pass; a block that
+    # overflows (or a gamma^2 that underflows to 0) makes eig_general raise
+    # InvalidInputError
+    ham = np.empty((2 * n, 2 * n))
+    ham[:n, :n] = ac
+    with np.errstate(over="ignore", invalid="ignore"):
+        bbt = b1 @ b1.T
+        ham[n:, :n] = -(cc.T @ cc)
+    ham[n:, n:] = -ac.T
     for _ in range(_MAX_LEVEL_PASSES):
         gamma = (1.0 + 2.0 * NORM_RTOL) * best
-        ham = np.block([[ac, bbt / gamma**2], [-ctc, -ac.T]])
+        try:
+            gamma_sq = gamma**2
+        except OverflowError as exc:  # a Python float power raises rather than overflow
+            raise NumericalError(
+                f"peak gain {best:.3e} is beyond the level-set iteration's range"
+            ) from exc
+        with np.errstate(over="ignore", divide="ignore"):
+            ham[:n, n:] = bbt / gamma_sq
         eig = kernels.eig_general(ham)
         on_axis = np.abs(eig.real) < _IMAG_AXIS_TOL * np.abs(ham).max()
         crossings = np.sort(eig.imag[on_axis])
@@ -185,9 +201,8 @@ def hinf_sweep(
     """
     if not (0 < fmin < fmax) or npts < 2:
         raise DimensionError("need 0 < fmin < fmax and npts >= 2")
-    poles = kernels.eig_general(cl.ac)
-    if poles.real.max() < 0:
-        peak, peak_freq = _hinf_norm(cl, poles)
+    if cl.poles.real.max() < 0:
+        peak, peak_freq = _hinf_norm(cl)
         return SweepResult(peak, peak_freq, cl, fmin, fmax, npts)
 
     warnings.warn(

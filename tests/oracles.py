@@ -4,17 +4,20 @@ These are the single-vertex and unvectorized forms of the program's maps,
 the augmented Lagrangian used for finite-difference stationarity checks,
 the bisection that certified_attenuation's closed form replaced, the
 padded extended system and per-vertex enumeration loop that the vertex
-stacks replaced, and the one-call forms of the solver's steps: each
+stacks replaced, the per-vertex norm check as it was before it called the
+LAPACK gufuncs directly, and the one-call forms of the solver's steps: each
 rebuilds from the state the shared inputs that solve computes once per
 iteration and passes them on.
 """
 
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from hinfgcc import kernels, solver
+from hinfgcc import kernels, solver, verify
+from hinfgcc.errors import NumericalError
 from hinfgcc.problem import eval_lin_all, w_operator
 
 
@@ -186,6 +189,86 @@ def padded_schur(padded):
     h1[:, n:, :] = padded.rhalf
     wsolve_inv = kernels.spd_factor(w_operator(h1, h2))
     return h0, h1, h2, h3, wsolve_inv, float(np.trace(h3 @ h3))
+
+
+# --- the per-vertex norm check through np.linalg -------------------------------
+#
+# Frozen copies of stability_margin and hinf_sweep from before the closed loop
+# kept its poles and kernels called the LAPACK gufuncs directly: the poles are
+# computed twice, the Hamiltonian is assembled by np.block, and every solve,
+# SVD and eigenvalue call goes through np.linalg. The margin, peak and peak
+# frequency of the program must equal these bit for bit.
+
+
+def stability_margin(cl):
+    """Spectral abscissa of A_c."""
+    return float(np.linalg.eigvals(cl.ac).real.max())
+
+
+def gain_grid(cl, omegas):
+    """Response gain at each frequency; NaN where the pencil is singular."""
+    n = cl.ac.shape[0]
+    pencil = 1j * omegas[:, None, None] * np.eye(n) - cl.ac
+    rhs = np.broadcast_to(cl.b1, (omegas.size, *cl.b1.shape))
+    try:
+        resolvent = np.linalg.solve(pencil, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(omegas.size, np.nan)
+        for k, omega in enumerate(omegas):
+            try:
+                h = np.linalg.solve(1j * omega * np.eye(n) - cl.ac, cl.b1)
+            except np.linalg.LinAlgError:
+                continue
+            out[k] = float(np.linalg.svd(cl.cc @ h, compute_uv=False)[0])
+        return out
+    return np.linalg.svd(cl.cc @ resolvent, compute_uv=False)[:, 0]
+
+
+def hinf_norm(cl, poles):
+    """Level-set iteration for a Hurwitz loop: (attained peak, its frequency)."""
+    ac, b1, cc = cl.ac, cl.b1, cl.cc
+    bbt = b1 @ b1.T
+    ctc = cc.T @ cc
+    trial = np.concatenate(([0.0], np.abs(poles), np.abs(poles.imag)))
+    gains = gain_grid(cl, trial)
+    k = int(gains.argmax())
+    best, best_freq = float(gains[k]), float(trial[k])
+    if best == 0.0:
+        return 0.0, 0.0
+    for _ in range(verify._MAX_LEVEL_PASSES):
+        gamma = (1.0 + 2.0 * verify.NORM_RTOL) * best
+        ham = np.block([[ac, bbt / gamma**2], [-ctc, -ac.T]])
+        eig = np.linalg.eigvals(ham)
+        on_axis = np.abs(eig.real) < verify._IMAG_AXIS_TOL * np.abs(ham).max()
+        crossings = np.sort(eig.imag[on_axis])
+        if crossings.size == 0:
+            return best, best_freq
+        mids = np.abs(0.5 * (crossings[:-1] + crossings[1:]) if crossings.size > 1 else crossings)
+        gains = gain_grid(cl, mids)
+        k = int(gains.argmax())
+        if not gains[k] > best:
+            return best, best_freq
+        best, best_freq = float(gains[k]), float(mids[k])
+    raise NumericalError("H-infinity level-set iteration did not converge")
+
+
+def hinf_sweep(cl, fmin=verify.DEFAULT_FMIN, fmax=verify.DEFAULT_FMAX, npts=verify.DEFAULT_NPTS):
+    """(peak, peak_frequency) of a closed loop: the H-infinity norm of a
+    Hurwitz loop, the grid maximum otherwise (with hinf_sweep's warnings)."""
+    poles = np.linalg.eigvals(cl.ac)
+    if poles.real.max() < 0:
+        return hinf_norm(cl, poles)
+    warnings.warn("closed loop is not asymptotically stable; sweep peak is not an "
+                  "H-infinity norm")
+    omegas = np.logspace(math.log10(fmin), math.log10(fmax), npts)
+    values = gain_grid(cl, omegas)
+    singular = ~np.isfinite(values)
+    if singular.any():
+        warnings.warn(f"skipped {int(singular.sum())} frequencies where the pencil is singular")
+        omegas = omegas[~singular]
+        values = values[~singular]
+    imax = int(values.argmax())
+    return float(values[imax]), float(omegas[imax])
 
 
 # --- one-call forms of the solver's steps ------------------------------------------

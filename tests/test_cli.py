@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hinfgcc
 from hinfgcc import cli
@@ -184,6 +186,50 @@ class TestSolveCommand:
         assert (in_tmp / "piped_history.csv").exists()
 
 
+class TestCertifiedHeadline:
+    """solve's headline is the closed-form certificate of its W*, printed
+    before the ADMM estimate gamma*."""
+
+    def test_uncertain_example_bounds_every_vertex_norm(self, in_tmp, capsys):
+        out = in_tmp / "ex2.json"
+        assert cli.main(["solve", hinfgcc.fixture_path("example2.json"), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        gamma, mu = report["gamma_certified"], report["mu_certified"]
+        assert gamma == 1.0 / math.sqrt(mu)
+        peaks = [row["sweep_peak"] for row in report["verification"]["vertices"]]
+        assert len(peaks) == 256 and max(peaks) <= gamma
+        # the ADMM estimate alone does not bound the worst vertex
+        assert report["gamma_star"] < max(peaks)
+        lines = capsys.readouterr().out.splitlines()
+        certified = next(i for i, line in enumerate(lines) if line.startswith("certified gamma = "))
+        estimate = next(i for i, line in enumerate(lines) if line.startswith("gamma* = "))
+        assert certified < estimate and f"{gamma:.6g}" in lines[certified]
+        assert f"worst vertex H-infinity norm = {max(peaks):.6g}" in lines
+
+    def test_aircraft_published_settings_have_no_certificate(self, in_tmp, capsys):
+        out = in_tmp / "ex1.json"
+        assert cli.main(["solve", hinfgcc.fixture_path("example1.json"), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["gamma_certified"] is None and report["mu_certified"] is None
+        assert report["gamma_star"] is not None
+        assert "certified gamma: none" in capsys.readouterr().out
+
+    def test_failed_run_has_no_certificate(self, toy_file, in_tmp, capsys):
+        out = in_tmp / "r.json"
+        with np.errstate(all="ignore"):
+            assert cli.main(["solve", toy_file, "--sigma", "1e200", "--out", str(out)]) == 5
+        report = json.loads(out.read_text())
+        assert report["gamma_certified"] is None and report["mu_certified"] is None
+        assert "certified" not in capsys.readouterr().out
+
+    def test_toy_certificate_is_the_library_value(self, toy_file, in_tmp, toy):
+        out = in_tmp / "r.json"
+        assert cli.main(["solve", toy_file, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        expected = hinfgcc.certified_attenuation(toy.ext, np.array(report["W_star"]))
+        assert (report["mu_certified"], report["gamma_certified"]) == expected
+
+
 class TestVerifyCommand:
     def test_published_gain_passes(self, in_tmp, tmp_path):
         problem = hinfgcc.fixture_path("example1.json")
@@ -250,6 +296,13 @@ class TestVerifyCommand:
     def test_malformed_gain_rejected(self, toy_file, tmp_path):
         gain = write_json(tmp_path / "nok.json", {"gain": [[1.0]]})
         assert cli.main(["verify", toy_file, gain]) == 2
+
+    def test_peak_beyond_float_range_is_a_numerical_failure(self, tmp_path, in_tmp, capsys):
+        # the peak, about 5e159, squares beyond the float range
+        problem = write_json(tmp_path / "big.json", dict(TOY_PROBLEM, B1=[[1e60]], C=[[1e100], [0.0]]))
+        gain = write_json(tmp_path / "gain.json", {"K": [[1.0]]})
+        assert cli.main(["verify", problem, gain]) == 5
+        assert "error:" in capsys.readouterr().err
 
     def test_wrong_gain_shape_rejected(self, toy_file, tmp_path):
         gain = write_json(tmp_path / "wrong.json", {"K": [[1.0, 2.0]]})
@@ -394,3 +447,160 @@ class TestEnumerateCommand:
             },
         )
         assert cli.main(["enumerate", problem]) == 2
+
+
+class TestMalformedFiles:
+    """Values of the wrong type are schema errors (exit 2), not tracebacks
+    or silent conversions."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", 2.5),
+        ("max_iters", True),
+        ("max_iters", "100"),
+        ("sigma", True),
+        ("tau", False),
+        ("eps", None),
+    ])
+    def test_bad_solver_setting_is_a_schema_error(self, tmp_path, capsys, key, value):
+        bad = dict(TOY_PROBLEM, solver={**TOY_PROBLEM["solver"], key: value})
+        path = write_json(tmp_path / "bad.json", bad)
+        for command in (["solve", path], ["enumerate", path]):
+            assert cli.main(command) == 2
+            assert "invalid solver settings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix", [
+        [["1"]],
+        [[True]],
+        [[False]],
+        [[None]],
+        [[10**400]],
+        [[1.0, 2.0], [3.0]],
+        [1.0],
+    ])
+    def test_non_numeric_matrix_is_a_schema_error(self, tmp_path, matrix):
+        path = write_json(tmp_path / "bad.json", dict(TOY_PROBLEM, A=matrix))
+        assert cli.main(["enumerate", path]) == 2
+
+    @pytest.mark.parametrize("gain", [
+        {"K": [["1"]]},
+        {"K": [[True]]},
+        {"K": [[1.0]], "W": [[1.0, False], [1.0, 2.0]], "mu": 2.0},
+    ])
+    def test_non_numeric_gain_is_a_schema_error(self, toy_file, tmp_path, in_tmp, gain):
+        path = write_json(tmp_path / "gain.json", gain)
+        assert cli.main(["verify", toy_file, path]) == 2
+        assert not (in_tmp / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("mu", [True, "2", float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_bad_mu_is_a_schema_error(self, toy_file, tmp_path, in_tmp, capsys, mu):
+        path = write_json(tmp_path / "gain.json", {"K": [[1.0]], "W": [[1.0, 1.0], [1.0, 2.0]], "mu": mu})
+        assert cli.main(["verify", toy_file, path]) == 2
+        assert "mu must be" in capsys.readouterr().err
+
+    def test_boolean_vertex_cap_is_a_schema_error(self, tmp_path):
+        bad = dict(TOY_PROBLEM, uncertainty={"relative_bounds": {"A": [[0.1]]}, "vertex_cap": True})
+        path = write_json(tmp_path / "bad.json", bad)
+        assert cli.main(["enumerate", path]) == 2
+
+    @pytest.mark.parametrize("uncertainty", [
+        {"relative_bounds": {"A": [[0.1, 0.1]]}},
+        {"vertices": [{"A": [[1.0, 2.0]], "B2": [[1.0]]}]},
+    ])
+    def test_uncertainty_shape_mismatch_is_a_schema_error(self, tmp_path, uncertainty):
+        path = write_json(tmp_path / "bad.json", dict(TOY_PROBLEM, uncertainty=uncertainty))
+        assert cli.main(["enumerate", path]) == 2
+
+
+# any JSON value: the fuzz below puts these where the loaders expect numbers,
+# matrices and objects
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+DELETE = object()
+
+PROBLEM_BASES = [
+    dict(TOY_PROBLEM, uncertainty={"relative_bounds": {"A": [[0.1]], "B2": [[0.2]]}, "vertex_cap": 16}),
+    dict(TOY_PROBLEM, uncertainty={"vertices": [{"A": [[-1.0]], "B2": [[1.0]]},
+                                                {"A": [[-2.0]], "B2": [[0.5]]}]}),
+]
+PROBLEM_PATHS = [
+    ("A",), ("A", 0), ("A", 0, 0), ("B1",), ("B1", 0, 0), ("B2", 0, 0), ("C",), ("C", 1),
+    ("C", 0, 0), ("D", 1, 0), ("solver",), ("solver", "sigma"), ("solver", "tau"),
+    ("solver", "eps"), ("solver", "max_iters"), ("solver", "extra"), ("uncertainty",),
+    ("uncertainty", "relative_bounds"), ("uncertainty", "relative_bounds", "A"),
+    ("uncertainty", "relative_bounds", "A", 0, 0), ("uncertainty", "relative_bounds", "B2", 0),
+    ("uncertainty", "vertex_cap"), ("uncertainty", "vertices"), ("uncertainty", "vertices", 0),
+    ("uncertainty", "vertices", 1, "A"), ("uncertainty", "vertices", 0, "B2", 0, 0), ("extra",),
+]
+GAIN_BASE = {"K": [[1.0]], "W": [[1.0, 1.0], [1.0, 2.0]], "mu": 2.0}
+GAIN_PATHS = [("K",), ("K", 0), ("K", 0, 0), ("W",), ("W", 1), ("W", 0, 1), ("mu",), ("extra",)]
+
+
+def mutated(base, edits):
+    """A deep copy of a JSON document with each (path, value) edit applied; a
+    value of DELETE removes the entry, and an edit whose path does not exist
+    in the document is skipped."""
+    doc = json.loads(json.dumps(base))
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            try:
+                parent = parent[key]
+            except (KeyError, IndexError, TypeError):
+                break
+        else:
+            key = path[-1]
+            if isinstance(parent, dict) and value is DELETE:
+                parent.pop(key, None)
+            elif isinstance(parent, dict) or (
+                isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+            ):
+                if value is DELETE:
+                    del parent[key]
+                else:
+                    parent[key] = value
+    return doc
+
+
+def edits(paths):
+    return st.lists(
+        st.tuples(st.sampled_from(paths), JSON_VALUES | st.just(DELETE)), min_size=1, max_size=3
+    )
+
+
+class TestLoaderFuzz:
+    """Any problem or gain file ends in exit 0, 2 or 3 with a message, never
+    in a traceback (or, in this suite, a floating-point warning). The one
+    exception is a gain the loader accepts whose closed loop overflows the
+    norm check (say, K = 1e154, where C^T C overflows): that is a numerical
+    failure, exit 5."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(PROBLEM_BASES), changes=edits(PROBLEM_PATHS))
+    @example(base=PROBLEM_BASES[0], changes=[(("B1", 0, 0), 1e200)])
+    @example(base=PROBLEM_BASES[0], changes=[(("D", 1, 0), -1e200)])
+    @example(base=PROBLEM_BASES[0], changes=[(("A", 0, 0), 1e308),
+                                             (("uncertainty", "relative_bounds", "A", 0, 0), 1.0)])
+    def test_problem_loader(self, tmp_path_factory, base, changes):
+        path = write_json(tmp_path_factory.mktemp("fuzz") / "p.json", mutated(base, changes))
+        assert cli.main(["enumerate", path]) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(changes=edits(GAIN_PATHS))
+    @example(changes=[(("K", 0, 0), 1.3407807929942597e154)])
+    def test_gain_loader(self, tmp_path_factory, changes):
+        work = tmp_path_factory.mktemp("fuzz")
+        problem = write_json(work / "p.json", TOY_PROBLEM)
+        gain = write_json(work / "g.json", mutated(GAIN_BASE, changes))
+        code = cli.main(["verify", problem, gain, "--out", str(work / "r.json")])
+        assert code in (0, 2, 3, 5)
+        if code == 5:
+            k = np.abs(cli.load_gain(gain, cli.load_problem(problem)[0])[0]).max()
+            assert k >= 1e150, f"exit 5 for a gain of size {k}"

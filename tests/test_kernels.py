@@ -1,5 +1,8 @@
 """Contracts of the dense numerical primitives."""
 
+import inspect
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -190,6 +193,85 @@ class TestProjectPsdStack:
                 npt.assert_array_equal(c, np.linalg.cholesky(s))
             else:
                 assert np.isnan(c).all()
+
+
+# Every gufunc behind np.linalg that kernels calls directly: (name, the loop
+# kernels asks for, the gufunc's core signature). A numpy release that renames
+# one, drops the loop or changes its shapes fails here rather than in a solve.
+GUFUNCS = [
+    ("cholesky_lo", "d->d", "(m,m)->(m,m)"),
+    ("eigvals", "d->D", "(m,m)->(m)"),
+    ("solve", "DD->D", "(m,m),(m,n)->(m,n)"),
+    ("svd", "d->d", "(m,n)->(p)"),
+    ("svd", "D->d", "(m,n)->(p)"),
+]
+
+
+class TestGufuncContracts:
+    """What kernels relies on in each gufunc it calls: a failed matrix (not
+    positive definite, singular, or an iteration that does not converge)
+    comes back as NaN and raises the invalid-value flag, and only that
+    matrix of a stack is affected."""
+
+    def test_kernels_calls_only_the_pinned_gufuncs(self):
+        called = set(re.findall(r"_umath_linalg\.(\w+)\(", inspect.getsource(kernels)))
+        assert called == {name for name, _, _ in GUFUNCS}
+
+    @pytest.mark.parametrize("name, loop, core", GUFUNCS, ids=[f"{g[0]}:{g[1]}" for g in GUFUNCS])
+    def test_name_signature_and_loop(self, name, loop, core):
+        gufunc = getattr(_umath_linalg, name)
+        assert isinstance(gufunc, np.ufunc)
+        assert gufunc.signature == core
+        assert loop in gufunc.types
+
+    def test_solve_marks_a_singular_matrix_with_nan(self):
+        rng = np.random.default_rng(26)
+        pencil = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        pencil[1] = np.diag([1.0, 1.0, 0.0, 1.0])  # exactly singular
+        rhs = rng.standard_normal((4, 2))
+        with np.errstate(invalid="ignore"):
+            out = _umath_linalg.solve(pencil, rhs, signature="DD->D")
+        assert np.isnan(out[1]).all()
+        for k in (0, 2):
+            assert out[k].tobytes() == np.linalg.solve(pencil[k], rhs.astype(complex)).tobytes()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _umath_linalg.solve(pencil, rhs, signature="DD->D")
+
+    @pytest.mark.parametrize("name, loop", [("eigvals", "d->D"), ("svd", "d->d"), ("svd", "D->d")])
+    def test_no_convergence_is_nan_with_the_invalid_flag(self, name, loop):
+        # NaN input is the one failure of the iteration that is reproducible
+        # (LAPACK also reports it on stderr, which pytest captures)
+        bad = np.full((3, 3), np.nan, dtype=complex if loop[0] == "D" else float)
+        with np.errstate(invalid="ignore"):
+            out = getattr(_umath_linalg, name)(bad, signature=loop)
+        assert np.isnan(out).all()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            getattr(_umath_linalg, name)(bad, signature=loop)
+
+
+class TestResponseGains:
+    def test_bitwise_the_np_linalg_form(self):
+        rng = np.random.default_rng(27)
+        for n, inputs, outputs in [(1, 1, 1), (3, 2, 1), (6, 3, 3)]:
+            a = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+            b = rng.standard_normal((n, inputs))
+            c = rng.standard_normal((outputs, n))
+            omegas = np.concatenate(([0.0], rng.uniform(0.0, 20.0, 7)))
+            pencil = 1j * omegas[:, None, None] * np.eye(n) - a
+            resolvent = np.linalg.solve(pencil, np.broadcast_to(b, (omegas.size, n, inputs)))
+            expected = np.linalg.svd(c @ resolvent, compute_uv=False)[:, 0]
+            assert kernels.response_gains(a, b, c, omegas).tobytes() == expected.tobytes()
+
+    def test_singular_pencil_raises_linalg_error(self):
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-j
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels.response_gains(rot, np.eye(2), np.eye(2), np.array([0.5, 1.0, 2.0]))
+
+    def test_overflowing_response_is_rejected(self):
+        c = np.array([[1e300, 0.0]])
+        b = np.array([[1e300], [0.0]])
+        with pytest.raises(InvalidInputError):
+            kernels.response_gains(-np.eye(2), b, c, np.array([1.0]))
 
 
 class TestProjectNonneg:
@@ -391,8 +473,24 @@ class TestEigGeneral:
         with pytest.raises(DimensionError):
             kernels.eig_general(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_np_linalg_eigvals_with_its_real_return(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((5, 5))
+        if seed % 2:  # symmetric: every eigenvalue is real
+            a = (a + a.T) / 2
+        eigs, expected = kernels.eig_general(a), np.linalg.eigvals(a)
+        assert eigs.dtype == expected.dtype == (float if seed % 2 else complex)
+        assert eigs.tobytes() == expected.tobytes()
+
 
 class TestMaxSingularValue:
+    def test_stack_gives_each_matrix_its_own(self):
+        rng = np.random.default_rng(28)
+        stack = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        expected = [np.linalg.svd(m, compute_uv=False)[0] for m in stack]
+        assert kernels.max_singular_value(stack).tobytes() == np.array(expected).tobytes()
+
     def test_identity(self):
         assert kernels.max_singular_value(np.eye(3)) == pytest.approx(1.0)
 

@@ -41,6 +41,16 @@ class TestValidatePlant:
         with pytest.raises(hg.AssumptionError, match="C\\^T D"):
             hg.validate_plant(plant)
 
+    @pytest.mark.parametrize("name, matrices", [
+        ("B1 B1\\^T", {"B1": [[1e200]]}),
+        ("C\\^T C", {"C": [[1e200], [0.0]]}),
+        ("D\\^T D", {"D": [[0.0], [1e200]]}),
+    ])
+    def test_overflowing_weight_rejected(self, name, matrices):
+        toy = dict(A=[[-1.0]], B1=[[1.0]], B2=[[1.0]], C=[[1.0], [0.0]], D=[[0.0], [1.0]])
+        with pytest.raises(hg.AssumptionError, match=name):
+            hg.validate_plant(hg.PlantModel(**{**toy, **matrices}))
+
     def test_unstabilizable_mode_warns_but_passes(self):
         # unstable mode at +1 is unreachable from B2
         plant = hg.PlantModel(
@@ -169,6 +179,12 @@ class TestEnumerateVertices:
         plant = make_example2_plant()
         spec = hg.UncertaintySpec.from_vertices([(np.eye(3), plant.B2)])
         with pytest.raises(hg.DimensionError):
+            hg.enumerate_vertices(plant, spec)
+
+    def test_vertex_beyond_float_range_rejected(self):
+        plant = hg.PlantModel(A=[[1e308]], B1=[[1.0]], B2=[[1.0]], C=[[1.0], [0.0]], D=[[0.0], [1.0]])
+        spec = hg.UncertaintySpec.relative([[1.0]], [[0.0]])
+        with pytest.raises(hg.AssumptionError, match="float range"):
             hg.enumerate_vertices(plant, spec)
 
     def test_negative_fraction_rejected(self):

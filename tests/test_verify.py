@@ -2,6 +2,7 @@
 impulse responses."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -263,6 +264,14 @@ class TestHinfNorm:
         assert sweep.sigma_max.shape == sweep.frequencies.shape == (50,)
         assert sweep.frequencies[0] == pytest.approx(verify.DEFAULT_FMIN)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_gain_beyond_float_range_is_a_numerical_error(self, scale):
+        # G(s) = scale^2 / (s + 1) peaks at scale^2: at 1e100 the level's
+        # gamma^2 overflows, at 1e160 the frequency response itself
+        cl = ClosedLoop(-np.eye(1), np.array([[scale]]), np.array([[scale]]))
+        with pytest.raises((hg.NumericalError, hg.InvalidInputError)):
+            hg.hinf_sweep(cl)
+
     def test_no_convergence_is_a_numerical_error(self, monkeypatch):
         monkeypatch.setattr(verify, "_MAX_LEVEL_PASSES", 0)
         with pytest.raises(hg.NumericalError):
@@ -291,6 +300,105 @@ class TestHinfNorm:
         sweep = hg.hinf_sweep(cl)
         assert sweep.peak >= (1 - 1e-9) * sweep.sigma_max.max()
         assert sigma_max_at(cl, sweep.peak_frequency) == pytest.approx(sweep.peak, rel=1e-12)
+
+
+def random_loop(kind, n, inputs, outputs, stable, b1_zero, seed) -> ClosedLoop:
+    """A random closed loop of one of three kinds: a general matrix whose
+    abscissa is shifted to +-margin, real poles with a peak at DC, or lightly
+    damped second-order modes (plus one real pole for odd n) mixed by a
+    random rotation."""
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        ac = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+    elif kind == "dc":
+        ac = np.diag(-rng.uniform(0.01, 10.0, n)) + np.triu(0.1 * rng.standard_normal((n, n)), 1)
+    else:
+        ac = np.zeros((n, n))
+        for j in range(0, n - 1, 2):
+            wn, zeta = 10.0 ** rng.uniform(-1.0, 2.0), 10.0 ** rng.uniform(-4.0, -1.0)
+            ac[j : j + 2, j : j + 2] = [[0.0, 1.0], [-wn**2, -2.0 * zeta * wn]]
+        if n % 2:
+            ac[-1, -1] = -rng.uniform(0.1, 10.0)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ac = q @ ac @ q.T
+    if kind == "general" or not stable:
+        # shift the spectrum so that its abscissa is -margin or +margin
+        margin = rng.uniform(1e-3, 2.0) * (-1.0 if stable else 1.0)
+        ac = ac - (np.linalg.eigvals(ac).real.max() - margin) * np.eye(n)
+    b1 = np.zeros((n, inputs)) if b1_zero else rng.standard_normal((n, inputs))
+    return ClosedLoop(ac=ac, cc=rng.standard_normal((outputs, n)), b1=b1)
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_bitwise_the_frozen_check(cl: ClosedLoop) -> None:
+    """Margin, peak and peak frequency, and the warnings raised, equal the
+    frozen np.linalg form of the check (tests/oracles.py) bit for bit."""
+    with warnings.catch_warnings(record=True) as old_warnings:
+        warnings.simplefilter("always", UserWarning)
+        frozen = (oracles.stability_margin(cl), *oracles.hinf_sweep(cl))
+    with warnings.catch_warnings(record=True) as new_warnings:
+        warnings.simplefilter("always", UserWarning)
+        margin = hg.stability_margin(cl)
+        sweep = hg.hinf_sweep(cl)
+    assert bits(margin, sweep.peak, sweep.peak_frequency) == bits(*frozen)
+    assert [str(w.message) for w in new_warnings] == [str(w.message) for w in old_warnings]
+
+
+class TestFrozenNormCheck:
+    """The norm check computes the poles once, fills the Hamiltonian in place
+    and calls the LAPACK gufuncs directly; its results are bitwise those of
+    the np.linalg form it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["general", "dc", "resonant"]),
+        n=st.integers(1, 6),
+        inputs=st.integers(1, 3),
+        outputs=st.integers(1, 3),
+        stable=st.booleans(),
+        b1_zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_loops(self, kind, n, inputs, outputs, stable, b1_zero, seed):
+        assert_bitwise_the_frozen_check(random_loop(kind, n, inputs, outputs, stable, b1_zero, seed))
+
+    @pytest.mark.parametrize("problem", ["example1", "example2"])
+    def test_every_fixture_vertex(self, problem, request):
+        built = request.getfixturevalue(problem)
+        gain = request.getfixturevalue(f"{problem}_published_solution").K_star
+        for i in range(built.vset.N):
+            assert_bitwise_the_frozen_check(hg.closed_loop(built.plant, built.vset[i], gain, i))
+
+    def test_named_loops(self):
+        plant = make_toy_plant()
+        for cl in (two_mode_loop(), hg.closed_loop(plant, (plant.A, plant.B2), [[1.0]])):
+            assert_bitwise_the_frozen_check(cl)
+
+    def test_singular_grid_point_fallback(self):
+        # the pencil of this marginal rotation is singular at omega = 1
+        cl = ClosedLoop(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2), np.eye(2))
+        omegas = np.logspace(0.0, 2.0, 64)
+        curve = verify._gain_grid(cl, omegas)
+        assert np.isnan(curve[0]) and np.isfinite(curve[1:]).all()
+        assert curve.tobytes() == oracles.gain_grid(cl, omegas).tobytes()
+
+    def test_poles_are_computed_once_per_loop(self, monkeypatch):
+        calls = []
+        real = kernels.eig_general
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(kernels, "eig_general", counting)
+        cl = two_mode_loop()
+        hg.stability_margin(cl)
+        hg.hinf_sweep(cl)
+        # one call for the 4x4 poles; the rest are 8x8 Hamiltonians
+        assert calls.count((4, 4)) == 1 and set(calls) == {(4, 4), (8, 8)}
 
 
 class TestCheckFeasibility:
