@@ -118,16 +118,13 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
     data = _load_json(path)
     for key in ("A", "B1", "B2", "C", "D"):
         _require(key in data, f"problem file is missing matrix {key!r}")
-    try:
-        plant = PlantModel(
-            A=_matrix(data["A"], "A"),
-            B1=_matrix(data["B1"], "B1"),
-            B2=_matrix(data["B2"], "B2"),
-            C=_matrix(data["C"], "C"),
-            D=_matrix(data["D"], "D"),
-        )
-    except DimensionError as exc:
-        raise SchemaError(str(exc)) from exc
+    plant = PlantModel(
+        A=_matrix(data["A"], "A"),
+        B1=_matrix(data["B1"], "B1"),
+        B2=_matrix(data["B2"], "B2"),
+        C=_matrix(data["C"], "C"),
+        D=_matrix(data["D"], "D"),
+    )
 
     unc = data.get("uncertainty")
     if unc is None:
@@ -158,10 +155,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
                 if "B2" in rb
                 else np.zeros_like(plant.B2)
             )
-            try:
-                spec = UncertaintySpec.relative(da, db, cap=cap)
-            except DimensionError as exc:
-                raise SchemaError(str(exc)) from exc
+            spec = UncertaintySpec.relative(da, db, cap=cap)
         elif "vertices" in unc:
             vs = unc["vertices"]
             _require(isinstance(vs, list) and vs, "vertices must be a non-empty list")
@@ -173,10 +167,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
                 )
                 pairs.append((_matrix(item["A"], f"vertices[{idx}].A"),
                               _matrix(item["B2"], f"vertices[{idx}].B2")))
-            try:
-                spec = UncertaintySpec.from_vertices(pairs)
-            except DimensionError as exc:
-                raise SchemaError(str(exc)) from exc
+            spec = UncertaintySpec.from_vertices(pairs)
         else:
             spec = UncertaintySpec(cap=cap)
 
@@ -336,7 +327,7 @@ def cmd_solve(args) -> int:
                 "feasibility_tol": args.tol,
                 "vertices": rows,
                 "all_stable": all(r["stable"] for r in rows),
-                "feasibility_passed": all(r["feasible"] for r in rows),
+                "feasibility_passed": feas.passed,
             }
             peaks = [r["sweep_peak"] for r in rows if r["sweep_peak"] is not None]
     _write_json(out, report)
@@ -370,7 +361,7 @@ def cmd_verify(args) -> int:
     rows = _vertex_rows(plant, vset, gain, feas)
     report = {
         "K": gain.tolist(),
-        "feasibility_tol": args.tol if w is not None else None,
+        "feasibility_tol": args.tol if feas is not None else None,
         "vertices": rows,
         "all_stable": all(r["stable"] for r in rows),
     }
@@ -407,8 +398,6 @@ def _select_vertex(vset: VertexSet, plant: PlantModel, which: str):
 def cmd_simulate(args) -> int:
     plant, _, _, vset, _ = _pipeline(args.problem)
     gain, _, _ = load_gain(args.gain, plant)
-    if args.dt <= 0 or args.horizon <= 0:
-        raise SchemaError("--dt and --horizon must be positive")
     vertex, label = _select_vertex(vset, plant, args.vertex)
     cl = verify_mod.closed_loop(plant, vertex, gain)
     resp = verify_mod.impulse_response(cl, args.horizon, args.dt)
@@ -461,6 +450,17 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: inf and nan exit 2, as a typo does."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hinfgcc",
@@ -474,25 +474,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="synthesize a gain and verify it")
     add_common(p_solve)
-    p_solve.add_argument("--sigma", type=float, default=None)
-    p_solve.add_argument("--tau", type=float, default=None)
-    p_solve.add_argument("--eps", type=float, default=None)
+    p_solve.add_argument("--sigma", type=_finite_float, default=None)
+    p_solve.add_argument("--tau", type=_finite_float, default=None)
+    p_solve.add_argument("--eps", type=_finite_float, default=None)
     p_solve.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p_solve.add_argument("--tol", type=float, default=1e-6,
+    p_solve.add_argument("--tol", type=_finite_float, default=1e-6,
                          help="feasibility tolerance for the verification table")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a gain against the problem")
     add_common(p_verify)
     p_verify.add_argument("gain", help="gain JSON file (K required, W/mu optional)")
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--tol", type=_finite_float, default=1e-6)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="impulse response of the closed loop")
     add_common(p_sim)
     p_sim.add_argument("gain", help="gain JSON file")
-    p_sim.add_argument("--horizon", type=float, default=10.0)
-    p_sim.add_argument("--dt", type=float, default=1e-3)
+    p_sim.add_argument("--horizon", type=_finite_float, default=10.0)
+    p_sim.add_argument("--dt", type=_finite_float, default=1e-3)
     p_sim.add_argument("--vertex", default="nominal",
                        help="vertex index or 'nominal' (default)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -500,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="singular-value frequency sweep")
     add_common(p_sweep)
     p_sweep.add_argument("gain", help="gain JSON file")
-    p_sweep.add_argument("--fmin", type=float, default=verify_mod.DEFAULT_FMIN)
-    p_sweep.add_argument("--fmax", type=float, default=verify_mod.DEFAULT_FMAX)
+    p_sweep.add_argument("--fmin", type=_finite_float, default=verify_mod.DEFAULT_FMIN)
+    p_sweep.add_argument("--fmax", type=_finite_float, default=verify_mod.DEFAULT_FMAX)
     p_sweep.add_argument("--npts", type=int, default=verify_mod.DEFAULT_NPTS)
     p_sweep.add_argument("--vertex", default="nominal")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -167,24 +167,6 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
     return symmetrize(out)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into one vector."""
-    return np.asarray(m, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec: rebuild a rows-by-cols matrix column by column."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
-        raise DimensionError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
 def spd_factor(m: np.ndarray) -> np.ndarray:
     """Explicit inverse of a symmetric positive definite matrix.
 

@@ -108,7 +108,7 @@ def w_operator(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     s = (h1.transpose(0, 2, 1) @ h1).sum(axis=0)
     c = h2 @ h1
     cross = np.einsum("iab,idc->acbd", c, c).reshape(p * p, p * p)
-    op = np.eye(p * p) + kernels.kron(h2h2t, s) + kernels.kron(s, h2h2t) + cross + cross.T
+    op = np.eye(p * p) + np.kron(h2h2t, s) + np.kron(s, h2h2t) + cross + cross.T
     return kernels.symmetrize(op)
 
 

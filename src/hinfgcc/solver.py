@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -62,8 +63,8 @@ GAIN_COND_LIMIT = 1e12
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters: penalty sigma, step tau in (0, (1+sqrt 5)/2), stopping
-    tolerance eps and iteration cap. A bool is no value for any of them, and
-    the cap must be an integer (TypeError).
+    tolerance eps and iteration cap; sigma and eps must be finite. A bool is
+    no value for any of them, and the cap must be an integer (TypeError).
     """
 
     sigma: float = 1.0
@@ -77,12 +78,14 @@ class SolverConfig:
                 raise TypeError(f"{name} must be a number, got {getattr(self, name)}")
         if not isinstance(self.max_iters, numbers.Integral):
             raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # compared with the largest float, not tested with math.isfinite, so
+        # that an integer beyond the float range is rejected, not an OverflowError
+        if not (0 < self.sigma <= sys.float_info.max):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 < self.tau < TAU_MAX):
             raise ValueError(f"tau must lie strictly inside (0, {TAU_MAX}), got {self.tau}")
-        if not (self.eps > 0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (0 < self.eps <= sys.float_info.max):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
@@ -186,31 +189,13 @@ class Solution:
     history: list[HistoryEntry]
 
 
-def init(
-    schur: SchurData,
-    config: SolverConfig,
-    start: tuple[np.ndarray, float, ConsensusVector, ConsensusVector] | None = None,
-) -> SolverState:
-    """Fresh all-zero state, or a verbatim copy of a supplied start point."""
-    if start is None:
-        return SolverState(
-            w=np.zeros((schur.p, schur.p)),
-            mu=0.0,
-            y=ConsensusVector.zeros(schur),
-            z=ConsensusVector.zeros(schur),
-        )
-    w0, mu0, y0, z0 = start
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (schur.p, schur.p):
-        raise DimensionError(f"start W must be {schur.p}x{schur.p}, got {w0.shape}")
-    for name, cv in (("Y", y0), ("Z", z0)):
-        if cv.y0.shape != (schur.p, schur.p) or cv.yi.shape != (schur.N, schur.r, schur.r):
-            raise DimensionError(f"start {name} blocks do not match problem dimensions")
+def init(schur: SchurData, config: SolverConfig) -> SolverState:
+    """Fresh all-zero state, the point the loop starts from."""
     return SolverState(
-        w=w0.copy(),
-        mu=float(mu0),
-        y=ConsensusVector(y0.y0, y0.yi, y0.ylast),
-        z=ConsensusVector(z0.y0, z0.yi, z0.ylast),
+        w=np.zeros((schur.p, schur.p)),
+        mu=0.0,
+        y=ConsensusVector.zeros(schur),
+        z=ConsensusVector.zeros(schur),
     )
 
 
@@ -260,8 +245,9 @@ def update_w(
     mid = mu_bar * schur.h3 + schur.h0 - state.y.yi - state.z.yi / sigma
     s = (schur.h1.transpose(0, 2, 1) @ mid @ schur.h2.T).sum(axis=0)
     t0 = -state.y.y0 - state.z.y0 / sigma + s + s.T
-    w_vec = -kernels.spd_solve(schur.wsolve_inv, kernels.vec(t0))
-    return kernels.symmetrize(kernels.unvec(w_vec, schur.p, schur.p))
+    # vec stacks columns, so both reshapes are column-major
+    w_vec = -kernels.spd_solve(schur.wsolve_inv, t0.reshape(-1, order="F"))
+    return kernels.symmetrize(w_vec.reshape((schur.p, schur.p), order="F"))
 
 
 def update_z(
@@ -377,8 +363,9 @@ def _record(
     return y_next
 
 
-def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) -> Solution:
-    """Run the ADMM loop until err < eps or the iteration cap.
+def solve(schur: SchurData, config: SolverConfig) -> Solution:
+    """Run the ADMM loop from the all-zero point until err < eps or the
+    iteration cap.
 
     The residuals at the initial point are recorded as history row k = 0 but
     the stopping rule is only evaluated after full iterations. On an
@@ -387,7 +374,7 @@ def solve(schur: SchurData, config: SolverConfig, start: tuple | None = None) ->
     numerical-failure. Overflow inside the loop is such a breakdown, caught
     by the finite checks rather than reported as a floating-point warning.
     """
-    state = init(schur, config, start)
+    state = init(schur, config)
     status = MAX_ITERS
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -199,8 +199,8 @@ def hinf_sweep(
     emitted, the grid is evaluated at once (points where the pencil is
     singular are dropped with a warning) and the peak is the grid maximum.
     """
-    if not (0 < fmin < fmax) or npts < 2:
-        raise DimensionError("need 0 < fmin < fmax and npts >= 2")
+    if not (0 < fmin < fmax < math.inf) or npts < 2:
+        raise DimensionError("need 0 < fmin < fmax < inf and npts >= 2")
     if cl.poles.real.max() < 0:
         peak, peak_freq = _hinf_norm(cl)
         return SweepResult(peak, peak_freq, cl, fmin, fmax, npts)
@@ -323,12 +323,17 @@ def impulse_response(cl: ClosedLoop, horizon: float, dt: float) -> ImpulseRespon
     """Integrate dx = A_c x from x(0) = B1 e_j with a fixed-step RK4 scheme.
 
     The impulse enters as an equivalent initial condition, which is exact
-    for an LTI system and avoids discretizing the impulse itself.
+    for an LTI system and avoids discretizing the impulse itself. A horizon
+    or step that is not positive, or whose step count horizon / dt is not
+    finite, raises DimensionError.
     """
-    if dt <= 0 or horizon <= 0:
+    if not (dt > 0 and horizon > 0):
         raise DimensionError("horizon and dt must be positive")
+    ratio = float(horizon) / float(dt)  # a Python float overflows to inf silently
+    if not math.isfinite(ratio):
+        raise DimensionError(f"horizon / dt = {ratio} steps is not a finite count")
     ac = cl.ac
-    steps = max(1, int(round(horizon / dt)))
+    steps = max(1, int(round(ratio)))
     x = cl.b1.copy()  # columns evolve all channels at once
     out = np.empty((steps + 1, *x.shape))
     out[0] = x

@@ -373,7 +373,7 @@ class TestCriterion8WsolveOracle:
             x = rng.standard_normal((s.p, s.p))
             x = (x + x.T) / 2
             wsolve = oracles.wsolve(s)
-            lhs = kernels.unvec(wsolve @ kernels.vec(x), s.p, s.p)
+            lhs = (wsolve @ x.reshape(-1, order="F")).reshape((s.p, s.p), order="F")
             rhs = oracles.wsolve_apply(s, x)
             rel = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs))
             worst = max(worst, float(rel))

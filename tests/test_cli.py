@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,35 @@ class TestVerifyCommand:
             r["feasible"] for r in report["verification"]["vertices"]
         ]
 
+    @pytest.mark.parametrize("flags, failing", [
+        # mu* < 0 with every vertex block feasible
+        (["--sigma", "0.1", "--max-iters", "15"], "mu"),
+        # W* indefinite with every vertex block feasible
+        (["--sigma", "1", "--max-iters", "43"], "w_min_eig"),
+    ])
+    def test_round_trip_agrees_on_infeasible_side_conditions(self, toy_file, in_tmp, flags, failing):
+        out = in_tmp / "sol.json"
+        assert cli.main(["solve", toy_file, *flags, "--eps", "1e-12", "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert all(r["feasible"] for r in report["verification"]["vertices"])
+        gain = write_json(
+            in_tmp / "roundtrip.json",
+            {"K": report["K_star"], "W": report["W_star"], "mu": report["mu_star"]},
+        )
+        vout = in_tmp / "reverify.json"
+        assert cli.main(["verify", toy_file, str(gain), "--out", str(vout)]) == 0
+        vreport = json.loads(vout.read_text())
+        assert vreport[failing] < -1e-6
+        assert vreport["feasibility_passed"] is False
+        assert report["verification"]["feasibility_passed"] is False
+
+    def test_no_feasibility_tol_without_mu(self, toy_file, in_tmp):
+        gain = write_json(in_tmp / "w_only.json", {"K": [[1.0]], "W": [[1.0, 1.0], [1.0, 2.0]]})
+        out = in_tmp / "v.json"
+        assert cli.main(["verify", toy_file, gain, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["feasibility_tol"] is None and "feasibility_passed" not in report
+
     def test_feasibility_is_evaluated_once(self, in_tmp, monkeypatch):
         problem = hinfgcc.fixture_path("example2.json")
         w, mu = PUBLISHED_EX2["W_star"], PUBLISHED_EX2["mu_star"]
@@ -416,6 +446,48 @@ class TestSweepCommand:
         rows = np.array([list(map(float, ln.split(","))) for ln in lines[2:]])
         np.testing.assert_allclose(rows[:, 1], 1 / np.sqrt(1 + rows[:, 0] ** 2), rtol=1e-9)
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-5)
+
+
+class TestNonFiniteInput:
+    """A non-finite number on the command line or in the solver settings
+    exits 2 with a message, never with a traceback or a numpy warning."""
+
+    @pytest.mark.parametrize("argv, solver", [
+        pytest.param(["simulate", "{problem}", "{gain}", "--horizon", "inf"], None, id="horizon-inf"),
+        pytest.param(["simulate", "{problem}", "{gain}", "--horizon", "nan"], None, id="horizon-nan"),
+        pytest.param(["simulate", "{problem}", "{gain}", "--dt", "nan"], None, id="dt-nan"),
+        # finite flags whose step count overflows
+        pytest.param(["simulate", "{problem}", "{gain}", "--horizon", "1e10", "--dt", "1e-300"], None,
+                     id="steps-overflow"),
+        pytest.param(["sweep", "{problem}", "{gain}", "--fmax", "inf"], None, id="fmax-inf"),
+        pytest.param(["verify", "{problem}", "{gain}", "--tol", "nan"], None, id="verify-tol-nan"),
+        pytest.param(["solve", "{problem}", "--eps", "inf"], None, id="eps-inf"),
+        pytest.param(["solve", "{problem}", "--tol", "inf"], None, id="solve-tol-inf"),
+        # json reads 1e999 as inf
+        pytest.param(["solve", "{problem}"], '{"sigma": 1e999}', id="file-sigma-inf"),
+        pytest.param(["solve", "{problem}"], '{"eps": 1e999}', id="file-eps-inf"),
+        pytest.param(["solve", "{problem}"], '{"sigma": 1' + "0" * 400 + "}", id="file-sigma-bigint"),
+    ])
+    def test_exits_2_without_traceback(self, tmp_path, in_tmp, capsys, argv, solver):
+        toy = {k: v for k, v in TOY_PROBLEM.items() if k != "solver"}
+        text = json.dumps(toy)
+        if solver is not None:
+            text = text[:-1] + ', "solver": ' + solver + "}"
+        problem = tmp_path / "p.json"
+        problem.write_text(text, encoding="utf-8")
+        gain = write_json(tmp_path / "g.json", {"K": [[1.0]], "W": [[1.0, 1.0], [1.0, 2.0]], "mu": 2.0})
+        argv = [a.format(problem=problem, gain=gain) for a in argv] + ["--out", str(in_tmp / "o")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects a flag's value
+                code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestEnumerateCommand:

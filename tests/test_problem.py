@@ -112,7 +112,7 @@ class TestBuildSchur:
             s = built.schur
             x = rng.standard_normal((s.p, s.p))
             x = (x + x.T) / 2
-            lhs = kernels.unvec(oracles.wsolve(s) @ kernels.vec(x), s.p, s.p)
+            lhs = (oracles.wsolve(s) @ x.reshape(-1, order="F")).reshape((s.p, s.p), order="F")
             rhs = oracles.wsolve_apply(s, x)
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 

@@ -34,8 +34,7 @@ def random_state(rng, built, scale=1.0):
         (lambda a: (a + a.transpose(0, 2, 1)) / 2)(rng.standard_normal((s.N, s.r, s.r))),
         float(rng.standard_normal()),
     )
-    state = solver.init(s, hg.SolverConfig(sigma=0.7, tau=1.0, eps=1e-6), (w, mu, y, z))
-    return state
+    return solver.SolverState(w=w, mu=mu, y=y, z=z)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +66,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             hg.SolverConfig(tau=solver.TAU_MAX)
 
-    @pytest.mark.parametrize("kwargs", [{"sigma": 0.0}, {"eps": 0.0}, {"max_iters": 0}, {"tau": 0.0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": 0.0}, {"eps": 0.0}, {"max_iters": 0}, {"tau": 0.0},
+        {"sigma": np.inf}, {"sigma": np.nan}, {"sigma": 10**400}, {"eps": np.inf}, {"eps": np.nan},
+    ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             hg.SolverConfig(**kwargs)
@@ -83,22 +85,6 @@ class TestInit:
         assert not st.w.any() and st.mu == 0.0
         assert not st.y.y0.any() and not st.y.yi.any() and st.y.ylast == 0.0
         assert not st.z.y0.any() and st.k == 0
-
-    def test_supplied_start_echoed(self, toy, small_problem):
-        rng = np.random.default_rng(0)
-        st = random_state(rng, small_problem)
-        w, mu = st.w.copy(), st.mu
-        st2 = solver.init(small_problem.schur, hg.SolverConfig(), (st.w, st.mu, st.y, st.z))
-        npt.assert_array_equal(st2.w, w)
-        assert st2.mu == mu
-        npt.assert_array_equal(st2.y.yi, st.y.yi)
-        npt.assert_array_equal(st2.z.y0, st.z.y0)
-
-    def test_start_dimension_mismatch(self, toy):
-        bad = np.zeros((3, 3))
-        cv = ConsensusVector.zeros(toy.schur)
-        with pytest.raises(hg.DimensionError):
-            solver.init(toy.schur, hg.SolverConfig(), (bad, 0.0, cv, cv))
 
 
 class TestUpdateY:
@@ -297,7 +283,7 @@ class TestResiduals:
         z1 = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
         y = ConsensusVector(w_star.copy(), g_star[None, :, :].copy(), mu_star)
         z = ConsensusVector(np.zeros((2, 2)), z1[None, :, :].copy(), 0.0)
-        st = solver.init(toy.schur, hg.SolverConfig(), (w_star, mu_star, y, z))
+        st = solver.SolverState(w=w_star, mu=mu_star, y=y, z=z)
         err_w, err_mu, err_y, err_eq, err = oracles.residuals(st, toy.schur)
         assert err_w <= 1e-14
         assert err_mu <= 1e-14
@@ -437,12 +423,14 @@ class TestNonFiniteIterates:
         assert sol.gamma_star is None  # a failed run has no gamma estimate
 
     @pytest.mark.parametrize("bad", ["W", "Z"])
-    def test_nan_start_is_a_numerical_failure(self, toy, bad):
+    def test_nan_start_is_a_numerical_failure(self, toy, bad, monkeypatch):
         w = np.full((2, 2), np.nan) if bad == "W" else np.eye(2)
         z = ConsensusVector.zeros(toy.schur)
         if bad == "Z":
             z.yi[0, 0, 0] = np.nan
-        sol = hg.solve(toy.schur, hg.SolverConfig(), (w, 1.0, ConsensusVector.zeros(toy.schur), z))
+        start = solver.SolverState(w=w, mu=1.0, y=ConsensusVector.zeros(toy.schur), z=z)
+        monkeypatch.setattr(solver, "init", lambda schur, config: start)
+        sol = hg.solve(toy.schur, hg.SolverConfig())
         assert sol.status == hg.NUMERICAL_FAILURE
         assert sol.iters == 0 and sol.history == []
         # a failed run reports no gain, whatever W it stopped at

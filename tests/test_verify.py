@@ -214,6 +214,12 @@ class TestHinfSweep:
         with pytest.raises(hg.DimensionError):
             hg.hinf_sweep(cl, fmin=1.0, fmax=0.1)
 
+    @pytest.mark.parametrize("fmin, fmax", [(1.0, np.inf), (np.nan, 10.0), (1.0, np.nan)])
+    def test_non_finite_grid_rejected(self, fmin, fmax):
+        cl = ClosedLoop(-np.eye(1), np.eye(1), np.eye(1))
+        with pytest.raises(hg.DimensionError):
+            hg.hinf_sweep(cl, fmin=fmin, fmax=fmax)
+
 
 class TestHinfNorm:
     """hinf_sweep's peak of a Hurwitz loop is the H-infinity norm."""
@@ -606,3 +612,11 @@ class TestImpulseResponse:
         cl = ClosedLoop(-np.eye(1), np.eye(1), np.eye(1))
         with pytest.raises(hg.DimensionError):
             hg.impulse_response(cl, horizon=1.0, dt=0.0)
+
+    @pytest.mark.parametrize("horizon, dt", [
+        (np.nan, 1e-3), (1.0, np.nan), (np.inf, 1e-3), (1e10, 1e-300),
+    ])
+    def test_non_finite_step_count_rejected(self, horizon, dt):
+        cl = ClosedLoop(-np.eye(1), np.eye(1), np.eye(1))
+        with pytest.raises(hg.DimensionError):
+            hg.impulse_response(cl, horizon=horizon, dt=dt)
