@@ -13,12 +13,14 @@ screened by one batched Cholesky factorization: the positive definite
 blocks, which inactive vertices give, are their own projection, and only
 the rest are eigendecomposed.
 
-The per-vertex norm check calls eig_general and response_gains a few times
-per vertex on matrices of a few rows, where np.linalg's wrappers cost more
-than the LAPACK work. So these, like the Cholesky screen, call the gufuncs
-behind np.linalg (numpy.linalg._umath_linalg) directly, with np.linalg's
-error state: this module is their only caller, and tests/test_kernels.py
-pins the name, signature and failure signal of each one used.
+The solver's symmetric eigendecompositions (sym_eig, and the blocks that
+fail the screen) and the per-vertex norm check (eig_general and
+response_gains, a few times per vertex) work on matrices of a few rows,
+where np.linalg's wrappers cost more than the LAPACK work. So these, like
+the Cholesky screen, call the gufuncs behind np.linalg
+(numpy.linalg._umath_linalg) directly, with np.linalg's error state: this
+module is their only caller, and tests/test_kernels.py pins the name,
+signature and failure signal of each one used.
 """
 
 from __future__ import annotations
@@ -77,11 +79,19 @@ def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a symmetric matrix or (k, n, n) stack, ascending,
+    bit for bit; an iteration that does not converge raises LinAlgError."""
+    with _lapack_errors(_raise_no_convergence):
+        return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
 def sym_eig(s: np.ndarray) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a
+    (k, n, n) stack, eigenvalues descending."""
     s = _check_finite(s, "matrix")
-    w, v = np.linalg.eigh(symmetrize(s))
-    return EigDecomp(w[::-1].copy(), v[:, ::-1].copy())
+    w, v = _eigh(symmetrize(s))
+    return EigDecomp(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def max_eigs(stack: np.ndarray) -> np.ndarray:
@@ -107,26 +117,28 @@ def max_pencil_eigs(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def project_psd(s: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to symmetric S.
+    """Frobenius-nearest positive semidefinite matrix to symmetric S, or to
+    each matrix of a (k, n, n) stack, which gives each matrix the bits it
+    gets alone.
 
     Eigenvalues are clipped at exactly zero; no positive floor is applied.
     (np.maximum(w, 0.0) returns np.clip's values for finite w, a -0.0
     eigenvalue included, at a quarter of its call cost.)
     """
     w, v = sym_eig(s)
-    out = (v * np.maximum(w, 0.0)) @ v.T
+    out = (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
     return symmetrize(out)
 
 
 def _clip_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalue clipping of every block of a symmetric (k, n, n) stack."""
-    w, v = np.linalg.eigh(stack)
+    w, v = _eigh(stack)
     out = v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2))
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def project_psd_stack(stack: np.ndarray) -> np.ndarray:
-    """Batched project_psd over the leading axis of a (k, n, n) array.
+    """project_psd of each block of a (k, n, n) array, screened.
 
     Same clipping policy as project_psd; kept here so every projection in
     the package shares it. One batched Cholesky factorization screens the

@@ -15,11 +15,16 @@ Each piece of work is done once per iteration:
     part feeds the forward mu update and the next backward one, and the
     consensus map h = (W, G(W, mu), mu) feeds the Z step, the residuals and
     the next Y step.
-  - The vertex blocks of Y - Z (for err_Y) and of G - Z/sigma (for the next
-    Y step) depend only on the state after the iteration, so they go through
-    one batched projection of 2N blocks, in which only the blocks that are
-    not positive definite are eigendecomposed (kernels.project_psd_stack);
-    the two p x p blocks stay on kernels.project_psd.
+  - Z/sigma is computed once per Z step and feeds both sweeps, the W solve
+    and the next Y step's targets.
+  - The projections of Y - Z (for err_Y) and of the next Y step's targets,
+    W - Z0/sigma and G - Z/sigma, depend only on the state after the
+    iteration, so each pair is projected in one call: the two p x p blocks
+    as one stack (kernels.project_psd), the 2N vertex blocks as another, in
+    which only the blocks that are not positive definite are
+    eigendecomposed (kernels.project_psd_stack). The differences are
+    written into two buffers allocated once per solve, and the Y step only
+    assembles Y from the projections.
   - Y, Z and h are ConsensusVectors: one flat buffer each, with block views,
     so the Z step is one axpy and every norm is one dot product.
 
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -117,9 +123,9 @@ class ConsensusVector:
     @classmethod
     def empty(cls, schur: SchurData) -> "ConsensusVector":
         """Uninitialized vector shaped for the problem."""
+        n_blocks, r, p = schur.h1.shape
         cv = cls.__new__(cls)
-        cv._view(np.empty(schur.p * schur.p + schur.N * schur.r * schur.r + 1),
-                 schur.p, schur.N, schur.r)
+        cv._view(np.empty(p * p + n_blocks * r * r + 1), p, n_blocks, r)
         return cv
 
     @classmethod
@@ -138,6 +144,11 @@ class ConsensusVector:
 
     def norm(self) -> float:
         return _norm(self.flat)
+
+    def __truediv__(self, c: float) -> "ConsensusVector":
+        out = ConsensusVector.__new__(ConsensusVector)
+        out._view(self.flat / c, self.y0.shape[0], *self.yi.shape[:2])
+        return out
 
 
 def apply_hmap(schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray) -> ConsensusVector:
@@ -200,34 +211,36 @@ def init(schur: SchurData, config: SolverConfig) -> SolverState:
 
 
 def update_y(
-    state: SolverState, schur: SchurData, config: SolverConfig, yi: np.ndarray
+    state: SolverState, schur: SchurData, zs: ConsensusVector, y0: np.ndarray, yi: np.ndarray
 ) -> ConsensusVector:
     """Project the shifted consensus blocks onto their cones.
 
-    yi is the projection of the vertex blocks G(W, mu) - Z_i/sigma, which
-    solve computes one iteration early, batched with the residual's.
+    zs is Z/sigma; y0 and yi are the projections of W - Z0/sigma and of the
+    vertex blocks G(W, mu) - Z_i/sigma, which solve computes one iteration
+    early, each batched with the residual's.
     """
-    sigma = config.sigma
     y = ConsensusVector.empty(schur)
-    y.flat[-1] = kernels.project_nonneg(state.mu - state.z.ylast / sigma)
+    y.flat[-1] = kernels.project_nonneg(state.mu - zs.flat[-1])
     y.yi[...] = yi
-    y.y0[...] = kernels.project_psd(state.w - state.z.y0 / sigma)
+    y.y0[...] = y0
     return y
 
 
 def backward_mu(
-    state: SolverState, schur: SchurData, config: SolverConfig, lin: np.ndarray
+    state: SolverState, schur: SchurData, config: SolverConfig, lin: np.ndarray,
+    zs: ConsensusVector,
 ) -> float:
     """Closed-form mu update: the stationary point of the augmented Lagrangian
     in mu at fixed (Y, W, Z); expects state.y already advanced.
 
     lin is eval_lin_all at the sweep's W: the old W in the backward sweep,
-    the new one in the forward sweep. The term <h0, h3> of the stationarity
-    condition is absent: the two blocks have disjoint support.
+    the new one in the forward sweep; zs is Z/sigma. The term <h0, h3> of
+    the stationarity condition is absent: the two blocks have disjoint
+    support.
     """
     sigma = config.sigma
     y, z = state.y, state.z
-    inner = float(np.einsum("irs,rs->", lin - y.yi - z.yi / sigma, schur.h3))
+    inner = float(np.einsum("irs,rs->", lin - y.yi - zs.yi, schur.h3))
     num = 1.0 - sigma * inner + sigma * y.ylast + z.ylast
     return num / (sigma * (schur.N * schur.tr_h3_sq + 1.0))
 
@@ -238,13 +251,13 @@ forward_mu = backward_mu
 
 
 def update_w(
-    state: SolverState, schur: SchurData, config: SolverConfig, mu_bar: float
+    state: SolverState, schur: SchurData, mu_bar: float, zs: ConsensusVector
 ) -> np.ndarray:
-    """Solve the vectorized W subproblem against the precomputed inverse."""
-    sigma = config.sigma
-    mid = mu_bar * schur.h3 + schur.h0 - state.y.yi - state.z.yi / sigma
+    """Solve the vectorized W subproblem against the precomputed inverse;
+    zs is Z/sigma."""
+    mid = mu_bar * schur.h3 + schur.h0 - state.y.yi - zs.yi
     s = (schur.h1.transpose(0, 2, 1) @ mid @ schur.h2.T).sum(axis=0)
-    t0 = -state.y.y0 - state.z.y0 / sigma + s + s.T
+    t0 = -state.y.y0 - zs.y0 + s + s.T
     # vec stacks columns, so both reshapes are column-major
     w_vec = -kernels.spd_solve(schur.wsolve_inv, t0.reshape(-1, order="F"))
     return kernels.symmetrize(w_vec.reshape((schur.p, schur.p), order="F"))
@@ -271,13 +284,14 @@ def residuals(
     state: SolverState,
     schur: SchurData,
     h: ConsensusVector,
+    proj_y0: np.ndarray,
     proj_yi: np.ndarray,
 ) -> tuple[float, float, float, float, float]:
     """Relative KKT residuals (err_W, err_mu, err_Y, err_eq) and their max.
 
-    h is the consensus map at the state's (W, mu) and proj_yi the projection
-    of the vertex blocks of Y - Z. Raises NumericalError when an iterate or
-    a residual is not finite.
+    h is the consensus map at the state's (W, mu); proj_y0 and proj_yi are
+    the projections of the p x p block and of the vertex blocks of Y - Z.
+    Raises NumericalError when an iterate or a residual is not finite.
     """
     y, z = state.y, state.z
     h1t = schur.h1.transpose(0, 2, 1)
@@ -290,7 +304,7 @@ def residuals(
     err_mu = abs(1.0 + z.ylast + float(np.einsum("irs,rs->", z.yi, schur.h3))) / 2.0
 
     proj = ConsensusVector.empty(schur)
-    proj.y0[...] = kernels.project_psd(y.y0 - z.y0)
+    proj.y0[...] = proj_y0
     proj.yi[...] = proj_yi
     proj.flat[-1] = kernels.project_nonneg(y.ylast - z.ylast)
     norm_y = y.norm()
@@ -328,39 +342,56 @@ _BREAKDOWNS = (np.linalg.LinAlgError, InvalidInputError, NumericalError, Singula
 
 
 def _project_pair(
-    state: SolverState, h: ConsensusVector, sigma: float
+    pair: np.ndarray, project: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray | Exception]:
-    """Projections of Y_i - Z_i (for err_Y) and of G_i - Z_i/sigma (for the
-    next Y step) in one batched call; both depend only on the current state.
+    """Project, in one call, a stack whose first half is blocks of Y - Z
+    (for err_Y) and whose second half is the next Y step's targets.
 
-    If the batched call fails, each half is projected alone, so a failure
-    surfaces where the unbatched order meets it: a failure in the first half
-    ends this row's err_Y; one in the second is returned in place of the
+    If the call fails, each half is projected alone, so a failure surfaces
+    where the unbatched order meets it: a failure in the first half ends
+    this row's err_Y; one in the second is returned in place of the
     projection and raised at the next Y step.
     """
-    y, z = state.y, state.z
-    n = y.yi.shape[0]
-    pair = np.concatenate((y.yi - z.yi, h.yi - z.yi / sigma))
+    n = len(pair) // 2
     try:
-        out = kernels.project_psd_stack(pair)
+        out = project(pair)
     except _BREAKDOWNS:
-        proj_yi = kernels.project_psd_stack(pair[:n])
+        first = project(pair[:n])
         try:
-            return proj_yi, kernels.project_psd_stack(pair[n:])
+            return first, project(pair[n:])
         except _BREAKDOWNS as exc:
-            return proj_yi, exc
+            return first, exc
     return out[:n], out[n:]
 
 
 def _record(
-    state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector, k: int
-) -> np.ndarray | Exception:
-    """Append history row k; return the next Y step's vertex projection."""
-    proj_yi, y_next = _project_pair(state, h, config.sigma)
-    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj_yi)
+    state: SolverState,
+    schur: SchurData,
+    h: ConsensusVector,
+    zs: ConsensusVector,
+    pairs: tuple[np.ndarray, np.ndarray],
+    k: int,
+) -> tuple[np.ndarray | Exception, np.ndarray | Exception]:
+    """Append history row k; return the next Y step's projections of
+    W - Z0/sigma and of G - Z/sigma.
+
+    pairs are the (2, p, p) and (2N, r, r) buffers the projected
+    differences are written into, so the p x p projections come back as
+    one-block stacks.
+    """
+    y, z = state.y, state.z
+    pair0, pairi = pairs
+    n = len(y.yi)
+    np.subtract(y.y0, z.y0, out=pair0[0])
+    np.subtract(state.w, zs.y0, out=pair0[1])
+    np.subtract(y.yi, z.yi, out=pairi[:n])
+    np.subtract(h.yi, zs.yi, out=pairi[n:])
+    proj_y0, y0_next = _project_pair(pair0, kernels.project_psd)
+    proj_yi, yi_next = _project_pair(pairi, kernels.project_psd_stack)
+    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj_y0[0], proj_yi)
     state.k = k
     state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu))
-    return y_next
+    return y0_next, yi_next
 
 
 def solve(schur: SchurData, config: SolverConfig) -> Solution:
@@ -376,21 +407,27 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
     """
     state = init(schur, config)
     status = MAX_ITERS
+    pairs = (np.empty((2, schur.p, schur.p)), np.empty((2 * schur.N, schur.r, schur.r)))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             lin = eval_lin_all(schur, state.w)
-            y_next = _record(state, schur, config, apply_hmap(schur, state.w, state.mu, lin), 0)
+            zs = state.z / config.sigma
+            h = apply_hmap(schur, state.w, state.mu, lin)
+            y_next = _record(state, schur, h, zs, pairs, 0)
             for k in range(1, config.max_iters + 1):
-                if isinstance(y_next, Exception):
-                    raise y_next
-                state.y = update_y(state, schur, config, y_next)
-                mu_bar = backward_mu(state, schur, config, lin)
-                state.w = update_w(state, schur, config, mu_bar)
+                y0_next, yi_next = y_next
+                for proj in y_next:
+                    if isinstance(proj, Exception):
+                        raise proj
+                state.y = update_y(state, schur, zs, y0_next[0], yi_next)
+                mu_bar = backward_mu(state, schur, config, lin, zs)
+                state.w = update_w(state, schur, mu_bar, zs)
                 lin = eval_lin_all(schur, state.w)
-                state.mu = forward_mu(state, schur, config, lin)
+                state.mu = forward_mu(state, schur, config, lin, zs)
                 h = apply_hmap(schur, state.w, state.mu, lin)
                 state.z = update_z(state, schur, config, h)
-                y_next = _record(state, schur, config, h, k)
+                zs = state.z / config.sigma
+                y_next = _record(state, schur, h, zs, pairs, k)
                 if state.history[-1].err < config.eps:
                     status = CONVERGED
                     break

@@ -280,19 +280,27 @@ def consensus_map(schur, state):
 
 
 def update_y(state, schur, cfg):
-    """solver.update_y with the target projected from the state."""
-    target = consensus_map(schur, state).yi - state.z.yi / cfg.sigma
-    return solver.update_y(state, schur, cfg, kernels.project_psd_stack(target))
+    """solver.update_y with both targets projected from the state."""
+    zs = state.z / cfg.sigma
+    target = consensus_map(schur, state).yi - zs.yi
+    return solver.update_y(
+        state, schur, zs, kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
+    )
 
 
 def backward_mu(state, schur, cfg):
     """solver.backward_mu at the state's W."""
-    return solver.backward_mu(state, schur, cfg, eval_lin_all(schur, state.w))
+    return solver.backward_mu(state, schur, cfg, eval_lin_all(schur, state.w), state.z / cfg.sigma)
+
+
+def update_w(state, schur, cfg, mu_bar):
+    """solver.update_w with Z/sigma formed from the state."""
+    return solver.update_w(state, schur, mu_bar, state.z / cfg.sigma)
 
 
 def forward_mu(state, schur, cfg, w_new):
     """solver.forward_mu at a new W."""
-    return solver.forward_mu(state, schur, cfg, eval_lin_all(schur, w_new))
+    return solver.forward_mu(state, schur, cfg, eval_lin_all(schur, w_new), state.z / cfg.sigma)
 
 
 def update_z(state, schur, cfg):
@@ -302,5 +310,6 @@ def update_z(state, schur, cfg):
 
 def residuals(state, schur):
     """solver.residuals with its shared inputs rebuilt from the state."""
+    proj_y0 = kernels.project_psd(state.y.y0 - state.z.y0)
     proj_yi = kernels.project_psd_stack(state.y.yi - state.z.yi)
-    return solver.residuals(state, schur, consensus_map(schur, state), proj_yi)
+    return solver.residuals(state, schur, consensus_map(schur, state), proj_y0, proj_yi)

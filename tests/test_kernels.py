@@ -86,6 +86,17 @@ class TestProjectPsd:
             minus = kernels.project_psd(-s)
             assert np.linalg.norm(s - (plus - minus)) <= 1e-9
 
+    def test_stack_is_bitwise_each_matrix_alone(self):
+        # the solver projects its two p x p blocks as one stack; each must get
+        # the bits it got when projected on its own
+        rng = np.random.default_rng(6)
+        for n in range(2, 9):
+            for _ in range(40):
+                stack = rng.standard_normal((3, n, n)) * 10.0 ** rng.uniform(-3, 3)
+                got = kernels.project_psd(stack)
+                for g, s in zip(got, stack):
+                    assert g.tobytes() == kernels.project_psd(s).tobytes()
+
     def test_stack_matches_single(self):
         rng = np.random.default_rng(5)
         stack = np.stack([random_symmetric(rng, 4) for _ in range(8)])
@@ -200,6 +211,7 @@ class TestProjectPsdStack:
 # one, drops the loop or changes its shapes fails here rather than in a solve.
 GUFUNCS = [
     ("cholesky_lo", "d->d", "(m,m)->(m,m)"),
+    ("eigh_lo", "d->dd", "(m,m)->(m),(m,m)"),
     ("eigvals", "d->D", "(m,m)->(m)"),
     ("solve", "DD->D", "(m,m),(m,n)->(m,n)"),
     ("svd", "d->d", "(m,n)->(p)"),
@@ -237,16 +249,30 @@ class TestGufuncContracts:
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             _umath_linalg.solve(pencil, rhs, signature="DD->D")
 
-    @pytest.mark.parametrize("name, loop", [("eigvals", "d->D"), ("svd", "d->d"), ("svd", "D->d")])
+    @pytest.mark.parametrize(
+        "name, loop", [("eigh_lo", "d->dd"), ("eigvals", "d->D"), ("svd", "d->d"), ("svd", "D->d")]
+    )
     def test_no_convergence_is_nan_with_the_invalid_flag(self, name, loop):
         # NaN input is the one failure of the iteration that is reproducible
         # (LAPACK also reports it on stderr, which pytest captures)
         bad = np.full((3, 3), np.nan, dtype=complex if loop[0] == "D" else float)
         with np.errstate(invalid="ignore"):
             out = getattr(_umath_linalg, name)(bad, signature=loop)
-        assert np.isnan(out).all()
+        for part in out if isinstance(out, tuple) else (out,):  # eigh_lo: values and vectors
+            assert np.isnan(part).all()
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             getattr(_umath_linalg, name)(bad, signature=loop)
+
+    def test_eigh_is_bitwise_np_linalg_eigh_on_a_stack(self):
+        rng = np.random.default_rng(27)
+        for n in (2, 4, 7):
+            stack = rng.standard_normal((5, n, n))
+            stack = (stack + np.swapaxes(stack, -1, -2)) / 2
+            w, v = kernels._eigh(stack)
+            ref_w, ref_v = np.linalg.eigh(stack)
+            assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels._eigh(np.full((2, 3, 3), np.nan))
 
 
 class TestResponseGains:

@@ -179,7 +179,7 @@ class TestSweepUpdates:
             st = random_state(rng, small_problem)
             st.y = oracles.update_y(st, small_problem.schur, cfg)
             mu_bar = oracles.backward_mu(st, small_problem.schur, cfg)
-            w_new = solver.update_w(st, small_problem.schur, cfg, mu_bar)
+            w_new = oracles.update_w(st, small_problem.schur, cfg, mu_bar)
             grad = central_diff_w(small_problem.schur, cfg, st.y, w_new, mu_bar, st.z)
             assert np.abs(grad).max() <= 1e-5
 
@@ -191,7 +191,7 @@ class TestSweepUpdates:
         # the forward sweep is the backward update evaluated at the new W
         assert solver.forward_mu is solver.backward_mu
         mu_bar = oracles.backward_mu(st, small_problem.schur, cfg)
-        w_new = solver.update_w(st, small_problem.schur, cfg, mu_bar)
+        w_new = oracles.update_w(st, small_problem.schur, cfg, mu_bar)
         mu_next = oracles.forward_mu(st, small_problem.schur, cfg, w_new)
         g = central_diff_mu(small_problem.schur, cfg, st.y, w_new, mu_next, st.z)
         assert abs(g) <= 1e-5
@@ -209,7 +209,7 @@ class TestSweepUpdates:
         cfg = hg.SolverConfig(sigma=2.0)
         rng = np.random.default_rng(6)
         st = random_state(rng, toy)
-        w = solver.update_w(st, zeroed, cfg, mu_bar=0.3)
+        w = oracles.update_w(st, zeroed, cfg, mu_bar=0.3)
         npt.assert_allclose(w, st.y.y0 + st.z.y0 / cfg.sigma, atol=1e-12)
 
     def test_t0_zero_gives_w_zero(self, toy):
@@ -220,7 +220,7 @@ class TestSweepUpdates:
         st.y = ConsensusVector(
             np.zeros((2, 2)), (mu_bar * toy.schur.h3 + toy.schur.h0)[None, :, :].copy(), 0.0
         )
-        w = solver.update_w(st, toy.schur, cfg, mu_bar)
+        w = oracles.update_w(st, toy.schur, cfg, mu_bar)
         npt.assert_allclose(w, 0.0, atol=1e-14)
 
 
@@ -325,7 +325,7 @@ class TestSolveToy:
         for _ in range(25):
             st.y = oracles.update_y(st, toy.schur, cfg)
             mu_bar = oracles.backward_mu(st, toy.schur, cfg)
-            st.w = solver.update_w(st, toy.schur, cfg, mu_bar)
+            st.w = oracles.update_w(st, toy.schur, cfg, mu_bar)
             st.mu = oracles.forward_mu(st, toy.schur, cfg, st.w)
             st.z = oracles.update_z(st, toy.schur, cfg)
             assert np.linalg.eigvalsh(st.y.y0).min() >= -1e-10
@@ -546,6 +546,7 @@ class TestFusedIterationMatchesReference:
         [
             ("toy", hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-14, max_iters=20)),
             ("example2", hg.SolverConfig(sigma=0.1, tau=0.618, eps=1e-14, max_iters=20)),
+            ("example1", hg.SolverConfig(sigma=0.001, tau=0.618, eps=1e-14, max_iters=20)),
         ],
     )
     def test_iterates_bitwise_and_residuals_close(self, request, name, cfg):
@@ -611,15 +612,19 @@ class TestBatchedProjectionFallback:
     unbatched order would have them."""
 
     @staticmethod
-    def flaky(monkeypatch, n_blocks, fail_pair_at, fail_target):
-        """Fail batched pair call number `fail_pair_at`; with fail_target, also
-        fail the second N-block call after it, which is the Y step's own
-        projection of the target (the first is the fallback's Y - Z half)."""
-        real = kernels.project_psd_stack
-        seen = {"pairs": 0, "after": None}
+    def flaky(monkeypatch, fail_pair_at, fail_target, name="project_psd_stack"):
+        """Fail pair call number `fail_pair_at` of kernels.<name>; with
+        fail_target, also fail the second half-size call after it, which is
+        the fallback's projection of the target half (the first is its
+        Y - Z half). The solver's vertex pairs go to project_psd_stack and
+        its p x p pairs to project_psd, so each name sees only its own."""
+        real = getattr(kernels, name)
+        seen = {"pairs": 0, "size": None, "after": None}
 
         def fake(stack):
-            if len(stack) == 2 * n_blocks:
+            if seen["size"] is None:
+                seen["size"] = len(stack)  # row 0's pair is the first call
+            if len(stack) == seen["size"]:
                 seen["pairs"] += 1
                 if seen["pairs"] == fail_pair_at:
                     seen["after"] = 0
@@ -630,12 +635,12 @@ class TestBatchedProjectionFallback:
                     raise np.linalg.LinAlgError("injected")
             return real(stack)
 
-        monkeypatch.setattr(kernels, "project_psd_stack", fake)
+        monkeypatch.setattr(kernels, name, fake)
 
     def test_spurious_failure_changes_nothing(self, toy, monkeypatch):
         cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
         clean = hg.solve(toy.schur, cfg)
-        self.flaky(monkeypatch, toy.schur.N, fail_pair_at=5, fail_target=False)
+        self.flaky(monkeypatch, fail_pair_at=5, fail_target=False)
         sol = hg.solve(toy.schur, cfg)
         assert sol.status == clean.status and sol.iters == clean.iters
         assert sol.W_star.tobytes() == clean.W_star.tobytes()
@@ -646,7 +651,26 @@ class TestBatchedProjectionFallback:
         clean = hg.solve(toy.schur, cfg)
         # pair call j + 1 is made after iteration j; its target half feeds
         # iteration j + 1, which therefore fails and leaves rows 0..j
-        self.flaky(monkeypatch, toy.schur.N, fail_pair_at=8, fail_target=True)
+        self.flaky(monkeypatch, fail_pair_at=8, fail_target=True)
+        sol = hg.solve(toy.schur, cfg)
+        assert sol.status == hg.NUMERICAL_FAILURE and sol.iters == 7
+        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[:8]]
+
+    def test_spurious_pxp_failure_changes_nothing(self, toy, monkeypatch):
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
+        clean = hg.solve(toy.schur, cfg)
+        self.flaky(monkeypatch, fail_pair_at=5, fail_target=False, name="project_psd")
+        sol = hg.solve(toy.schur, cfg)
+        assert sol.status == clean.status and sol.iters == clean.iters
+        assert sol.W_star.tobytes() == clean.W_star.tobytes()
+        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history]
+
+    def test_pxp_target_failure_surfaces_in_next_y_step(self, toy, monkeypatch):
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
+        clean = hg.solve(toy.schur, cfg)
+        # as for the vertex pair: a failure in the W - Z0/sigma half of pair
+        # call j + 1 ends the run at iteration j + 1's Y step, after rows 0..j
+        self.flaky(monkeypatch, fail_pair_at=8, fail_target=True, name="project_psd")
         sol = hg.solve(toy.schur, cfg)
         assert sol.status == hg.NUMERICAL_FAILURE and sol.iters == 7
         assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[:8]]
@@ -654,7 +678,7 @@ class TestBatchedProjectionFallback:
     def test_converged_row_stays_converged(self, toy, monkeypatch):
         cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
         clean = hg.solve(toy.schur, cfg)
-        self.flaky(monkeypatch, toy.schur.N, fail_pair_at=clean.iters + 1, fail_target=True)
+        self.flaky(monkeypatch, fail_pair_at=clean.iters + 1, fail_target=True)
         sol = hg.solve(toy.schur, cfg)
         assert sol.status == hg.CONVERGED and sol.iters == clean.iters
         assert sol.W_star.tobytes() == clean.W_star.tobytes()
@@ -672,17 +696,19 @@ class TestProjectionScreen:
         are positive definite and pass the Cholesky screen untouched."""
         from conftest import PUBLISHED_EX2
 
-        real = np.linalg.eigh
+        # every symmetric eigendecomposition in kernels goes through _eigh
+        real = kernels._eigh
         counted = {"matrices": 0}
 
-        def counting_eigh(a, *args, **kwargs):
+        def counting_eigh(a):
             counted["matrices"] += int(np.prod(np.shape(a)[:-2]))
-            return real(a, *args, **kwargs)
+            return real(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(kernels, "_eigh", counting_eigh)
         config = hg.SolverConfig(sigma=PUBLISHED_EX2["sigma"], tau=PUBLISHED_EX2["tau"], eps=PUBLISHED_EX2["eps"])
         sol = hg.solve(example2.schur, config)
         assert sol.iters == 357
-        # 2N vertex blocks and the two p x p blocks are offered per iteration
+        # each iteration offers 2N vertex blocks to the screen and one stack
+        # of two p x p blocks, which always goes to the eigensolver
         offered = (2 * example2.schur.N + 2) * sol.iters
-        assert counted["matrices"] < 0.25 * offered
+        assert 0 < counted["matrices"] < 0.25 * offered
