@@ -45,6 +45,10 @@ EXIT_ASSUMPTION = 3
 EXIT_MAX_ITERS = 4
 EXIT_NUMERICAL = 5
 
+# the SolverConfig fields a problem file's "solver" object and the solve
+# command's flags may set
+_SOLVER_KEYS = ("sigma", "tau", "eps", "max_iters")
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -173,8 +177,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
 
     settings = data.get("solver", {})
     _require(isinstance(settings, dict), "solver must be an object")
-    allowed = {"sigma", "tau", "eps", "max_iters"}
-    extra = set(settings) - allowed
+    extra = set(settings).difference(_SOLVER_KEYS)
     _require(not extra, f"unknown solver keys: {sorted(extra)}")
     _config(settings)
     return plant, spec, dict(settings)
@@ -213,14 +216,9 @@ def _config(settings: dict) -> SolverConfig:
 
 def _solver_config(settings: dict, args) -> SolverConfig:
     merged = dict(settings)
-    if args.sigma is not None:
-        merged["sigma"] = args.sigma
-    if args.tau is not None:
-        merged["tau"] = args.tau
-    if args.eps is not None:
-        merged["eps"] = args.eps
-    if args.max_iters is not None:
-        merged["max_iters"] = args.max_iters
+    for name in _SOLVER_KEYS:
+        if getattr(args, name) is not None:
+            merged[name] = getattr(args, name)
     return _config(merged)
 
 

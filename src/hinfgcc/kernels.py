@@ -133,8 +133,7 @@ def project_psd(s: np.ndarray) -> np.ndarray:
 def _clip_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalue clipping of every block of a symmetric (k, n, n) stack."""
     w, v = _eigh(stack)
-    out = v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2))
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    return symmetrize(v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2)))
 
 
 def project_psd_stack(stack: np.ndarray) -> np.ndarray:
@@ -148,7 +147,7 @@ def project_psd_stack(stack: np.ndarray) -> np.ndarray:
     stack goes through the eigensolver as one batch.
     """
     stack = _check_finite(stack, "stack")
-    stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
+    stack = symmetrize(stack)
     # the gufunc behind np.linalg.cholesky: a block it cannot factor comes
     # back as NaN (with an invalid-value flag) instead of failing the call
     with np.errstate(invalid="ignore"):

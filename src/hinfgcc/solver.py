@@ -24,7 +24,8 @@ Each piece of work is done once per iteration:
     which only the blocks that are not positive definite are
     eigendecomposed (kernels.project_psd_stack). The differences are
     written into two buffers allocated once per solve, and the Y step only
-    assembles Y from the projections.
+    assembles Y from the projections. A breakdown in either half of a pair
+    ends the run at that row, as every other breakdown in the loop does.
   - Y, Z and h are ConsensusVectors: one flat buffer each, with block views,
     so the Z step is one axpy and every norm is one dot product.
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -200,7 +200,7 @@ class Solution:
     history: list[HistoryEntry]
 
 
-def init(schur: SchurData, config: SolverConfig) -> SolverState:
+def init(schur: SchurData) -> SolverState:
     """Fresh all-zero state, the point the loop starts from."""
     return SolverState(
         w=np.zeros((schur.p, schur.p)),
@@ -213,17 +213,13 @@ def init(schur: SchurData, config: SolverConfig) -> SolverState:
 def update_y(
     state: SolverState, schur: SchurData, zs: ConsensusVector, y0: np.ndarray, yi: np.ndarray
 ) -> ConsensusVector:
-    """Project the shifted consensus blocks onto their cones.
+    """Assemble Y from the cone projections of the shifted consensus blocks.
 
     zs is Z/sigma; y0 and yi are the projections of W - Z0/sigma and of the
-    vertex blocks G(W, mu) - Z_i/sigma, which solve computes one iteration
-    early, each batched with the residual's.
+    vertex blocks G(W, mu) - Z_i/sigma that _record made one iteration
+    early; only the scalar block is projected here.
     """
-    y = ConsensusVector.empty(schur)
-    y.flat[-1] = kernels.project_nonneg(state.mu - zs.flat[-1])
-    y.yi[...] = yi
-    y.y0[...] = y0
-    return y
+    return ConsensusVector(y0, yi, kernels.project_nonneg(state.mu - zs.flat[-1]))
 
 
 def backward_mu(
@@ -303,10 +299,7 @@ def residuals(
 
     err_mu = abs(1.0 + z.ylast + float(np.einsum("irs,rs->", z.yi, schur.h3))) / 2.0
 
-    proj = ConsensusVector.empty(schur)
-    proj.y0[...] = proj_y0
-    proj.yi[...] = proj_yi
-    proj.flat[-1] = kernels.project_nonneg(y.ylast - z.ylast)
+    proj = ConsensusVector(proj_y0, proj_yi, kernels.project_nonneg(y.ylast - z.ylast))
     norm_y = y.norm()
     norm_z = z.norm()
     err_y = _norm(y.flat - proj.flat) / (1.0 + norm_y + norm_z)
@@ -341,29 +334,6 @@ def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
 _BREAKDOWNS = (np.linalg.LinAlgError, InvalidInputError, NumericalError, SingularSystemError)
 
 
-def _project_pair(
-    pair: np.ndarray, project: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray | Exception]:
-    """Project, in one call, a stack whose first half is blocks of Y - Z
-    (for err_Y) and whose second half is the next Y step's targets.
-
-    If the call fails, each half is projected alone, so a failure surfaces
-    where the unbatched order meets it: a failure in the first half ends
-    this row's err_Y; one in the second is returned in place of the
-    projection and raised at the next Y step.
-    """
-    n = len(pair) // 2
-    try:
-        out = project(pair)
-    except _BREAKDOWNS:
-        first = project(pair[:n])
-        try:
-            return first, project(pair[n:])
-        except _BREAKDOWNS as exc:
-            return first, exc
-    return out[:n], out[n:]
-
-
 def _record(
     state: SolverState,
     schur: SchurData,
@@ -371,13 +341,13 @@ def _record(
     zs: ConsensusVector,
     pairs: tuple[np.ndarray, np.ndarray],
     k: int,
-) -> tuple[np.ndarray | Exception, np.ndarray | Exception]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Append history row k; return the next Y step's projections of
     W - Z0/sigma and of G - Z/sigma.
 
-    pairs are the (2, p, p) and (2N, r, r) buffers the projected
-    differences are written into, so the p x p projections come back as
-    one-block stacks.
+    pairs are the (2, p, p) and (2N, r, r) buffers that hold the blocks of
+    Y - Z in their first half and the targets in their second; each is
+    projected in one call, and a breakdown raises before row k is appended.
     """
     y, z = state.y, state.z
     pair0, pairi = pairs
@@ -386,12 +356,12 @@ def _record(
     np.subtract(state.w, zs.y0, out=pair0[1])
     np.subtract(y.yi, z.yi, out=pairi[:n])
     np.subtract(h.yi, zs.yi, out=pairi[n:])
-    proj_y0, y0_next = _project_pair(pair0, kernels.project_psd)
-    proj_yi, yi_next = _project_pair(pairi, kernels.project_psd_stack)
-    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj_y0[0], proj_yi)
+    proj0 = kernels.project_psd(pair0)
+    proji = kernels.project_psd_stack(pairi)
+    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj0[0], proji[:n])
     state.k = k
     state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu))
-    return y0_next, yi_next
+    return proj0[1], proji[n:]
 
 
 def solve(schur: SchurData, config: SolverConfig) -> Solution:
@@ -405,7 +375,7 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
     numerical-failure. Overflow inside the loop is such a breakdown, caught
     by the finite checks rather than reported as a floating-point warning.
     """
-    state = init(schur, config)
+    state = init(schur)
     status = MAX_ITERS
     pairs = (np.empty((2, schur.p, schur.p)), np.empty((2 * schur.N, schur.r, schur.r)))
     try:
@@ -413,13 +383,9 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
             lin = eval_lin_all(schur, state.w)
             zs = state.z / config.sigma
             h = apply_hmap(schur, state.w, state.mu, lin)
-            y_next = _record(state, schur, h, zs, pairs, 0)
+            y0_next, yi_next = _record(state, schur, h, zs, pairs, 0)
             for k in range(1, config.max_iters + 1):
-                y0_next, yi_next = y_next
-                for proj in y_next:
-                    if isinstance(proj, Exception):
-                        raise proj
-                state.y = update_y(state, schur, zs, y0_next[0], yi_next)
+                state.y = update_y(state, schur, zs, y0_next, yi_next)
                 mu_bar = backward_mu(state, schur, config, lin, zs)
                 state.w = update_w(state, schur, mu_bar, zs)
                 lin = eval_lin_all(schur, state.w)
@@ -427,7 +393,7 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
                 h = apply_hmap(schur, state.w, state.mu, lin)
                 state.z = update_z(state, schur, config, h)
                 zs = state.z / config.sigma
-                y_next = _record(state, schur, h, zs, pairs, k)
+                y0_next, yi_next = _record(state, schur, h, zs, pairs, k)
                 if state.history[-1].err < config.eps:
                     status = CONVERGED
                     break

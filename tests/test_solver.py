@@ -81,7 +81,7 @@ class TestSolverConfig:
 
 class TestInit:
     def test_default_start_is_zero(self, toy):
-        st = solver.init(toy.schur, hg.SolverConfig())
+        st = solver.init(toy.schur)
         assert not st.w.any() and st.mu == 0.0
         assert not st.y.y0.any() and not st.y.yi.any() and st.y.ylast == 0.0
         assert not st.z.y0.any() and st.k == 0
@@ -90,7 +90,7 @@ class TestInit:
 class TestUpdateY:
     def test_zero_state_projects_constant_block(self, toy):
         cfg = hg.SolverConfig(sigma=0.5)
-        st = solver.init(toy.schur, cfg)
+        st = solver.init(toy.schur)
         y = oracles.update_y(st, toy.schur, cfg)
         npt.assert_allclose(y.y0, 0.0)
         # constraint block at zero is h0, which is already PSD
@@ -99,7 +99,7 @@ class TestUpdateY:
 
     def test_scalar_projection(self, toy):
         cfg = hg.SolverConfig(sigma=1.0)
-        st = solver.init(toy.schur, cfg)
+        st = solver.init(toy.schur)
         st.mu = 1.0
         assert oracles.update_y(st, toy.schur, cfg).ylast == 1.0
         st.mu = -1.0
@@ -144,7 +144,7 @@ class TestSweepUpdates:
         # from the all-zero state the scalar update reduces to
         # 1 / (sigma * (N tr(h3^2) + 1)) because <h0, h3> = 0
         cfg = hg.SolverConfig(sigma=0.1)
-        st = solver.init(example2.schur, cfg)
+        st = solver.init(example2.schur)
         st.y = oracles.update_y(st, example2.schur, cfg)
         expected = 1.0 / (cfg.sigma * (example2.schur.N * example2.schur.tr_h3_sq + 1.0))
         assert oracles.backward_mu(st, example2.schur, cfg) == pytest.approx(expected)
@@ -215,7 +215,7 @@ class TestSweepUpdates:
     def test_t0_zero_gives_w_zero(self, toy):
         # choose Y_i to cancel the constant blocks so T0 vanishes exactly
         cfg = hg.SolverConfig(sigma=1.0)
-        st = solver.init(toy.schur, cfg)
+        st = solver.init(toy.schur)
         mu_bar = 0.37
         st.y = ConsensusVector(
             np.zeros((2, 2)), (mu_bar * toy.schur.h3 + toy.schur.h0)[None, :, :].copy(), 0.0
@@ -268,7 +268,7 @@ class TestUpdateZ:
 
 class TestResiduals:
     def test_all_zero_state(self, toy):
-        st = solver.init(toy.schur, hg.SolverConfig())
+        st = solver.init(toy.schur)
         err_w, err_mu, err_y, err_eq, err = oracles.residuals(st, toy.schur)
         assert err_w == 0.0
         assert err_mu == 0.5  # |1 + 0 + 0| / 2
@@ -321,7 +321,7 @@ class TestSolveToy:
 
     def test_cone_feasibility_along_iterations(self, toy):
         cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        st = solver.init(toy.schur, cfg)
+        st = solver.init(toy.schur)
         for _ in range(25):
             st.y = oracles.update_y(st, toy.schur, cfg)
             mu_bar = oracles.backward_mu(st, toy.schur, cfg)
@@ -429,7 +429,7 @@ class TestNonFiniteIterates:
         if bad == "Z":
             z.yi[0, 0, 0] = np.nan
         start = solver.SolverState(w=w, mu=1.0, y=ConsensusVector.zeros(toy.schur), z=z)
-        monkeypatch.setattr(solver, "init", lambda schur, config: start)
+        monkeypatch.setattr(solver, "init", lambda schur: start)
         sol = hg.solve(toy.schur, hg.SolverConfig())
         assert sol.status == hg.NUMERICAL_FAILURE
         assert sol.iters == 0 and sol.history == []
@@ -607,81 +607,30 @@ class TestResidualsFromDefinition:
             assert got[4] == max(got[:4])
 
 
-class TestBatchedProjectionFallback:
-    """A failed batched projection must leave status, iters and history as the
-    unbatched order would have them."""
-
-    @staticmethod
-    def flaky(monkeypatch, fail_pair_at, fail_target, name="project_psd_stack"):
-        """Fail pair call number `fail_pair_at` of kernels.<name>; with
-        fail_target, also fail the second half-size call after it, which is
-        the fallback's projection of the target half (the first is its
-        Y - Z half). The solver's vertex pairs go to project_psd_stack and
-        its p x p pairs to project_psd, so each name sees only its own."""
+class TestProjectionBreakdown:
+    @pytest.mark.parametrize("j", [1, 2, 8])
+    @pytest.mark.parametrize("name", ["project_psd", "project_psd_stack"])
+    def test_breakdown_ends_the_run_at_that_row(self, toy, monkeypatch, name, j):
+        """The solver calls each kernel once per row, on a stack of Y - Z and
+        the next Y step's targets; call j belongs to row j - 1, so a
+        breakdown there leaves the clean run's rows 0..j - 2."""
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
+        clean = hg.solve(toy.schur, cfg)
         real = getattr(kernels, name)
-        seen = {"pairs": 0, "size": None, "after": None}
+        calls = {"n": 0}
 
         def fake(stack):
-            if seen["size"] is None:
-                seen["size"] = len(stack)  # row 0's pair is the first call
-            if len(stack) == seen["size"]:
-                seen["pairs"] += 1
-                if seen["pairs"] == fail_pair_at:
-                    seen["after"] = 0
-                    raise np.linalg.LinAlgError("injected")
-            elif seen["after"] is not None:
-                seen["after"] += 1
-                if fail_target and seen["after"] == 2:
-                    raise np.linalg.LinAlgError("injected")
+            calls["n"] += 1
+            if calls["n"] == j:
+                raise np.linalg.LinAlgError("injected")
             return real(stack)
 
         monkeypatch.setattr(kernels, name, fake)
-
-    def test_spurious_failure_changes_nothing(self, toy, monkeypatch):
-        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        clean = hg.solve(toy.schur, cfg)
-        self.flaky(monkeypatch, fail_pair_at=5, fail_target=False)
         sol = hg.solve(toy.schur, cfg)
-        assert sol.status == clean.status and sol.iters == clean.iters
-        assert sol.W_star.tobytes() == clean.W_star.tobytes()
-        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history]
-
-    def test_target_failure_surfaces_in_next_y_step(self, toy, monkeypatch):
-        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        clean = hg.solve(toy.schur, cfg)
-        # pair call j + 1 is made after iteration j; its target half feeds
-        # iteration j + 1, which therefore fails and leaves rows 0..j
-        self.flaky(monkeypatch, fail_pair_at=8, fail_target=True)
-        sol = hg.solve(toy.schur, cfg)
-        assert sol.status == hg.NUMERICAL_FAILURE and sol.iters == 7
-        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[:8]]
-
-    def test_spurious_pxp_failure_changes_nothing(self, toy, monkeypatch):
-        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        clean = hg.solve(toy.schur, cfg)
-        self.flaky(monkeypatch, fail_pair_at=5, fail_target=False, name="project_psd")
-        sol = hg.solve(toy.schur, cfg)
-        assert sol.status == clean.status and sol.iters == clean.iters
-        assert sol.W_star.tobytes() == clean.W_star.tobytes()
-        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history]
-
-    def test_pxp_target_failure_surfaces_in_next_y_step(self, toy, monkeypatch):
-        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        clean = hg.solve(toy.schur, cfg)
-        # as for the vertex pair: a failure in the W - Z0/sigma half of pair
-        # call j + 1 ends the run at iteration j + 1's Y step, after rows 0..j
-        self.flaky(monkeypatch, fail_pair_at=8, fail_target=True, name="project_psd")
-        sol = hg.solve(toy.schur, cfg)
-        assert sol.status == hg.NUMERICAL_FAILURE and sol.iters == 7
-        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[:8]]
-
-    def test_converged_row_stays_converged(self, toy, monkeypatch):
-        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        clean = hg.solve(toy.schur, cfg)
-        self.flaky(monkeypatch, fail_pair_at=clean.iters + 1, fail_target=True)
-        sol = hg.solve(toy.schur, cfg)
-        assert sol.status == hg.CONVERGED and sol.iters == clean.iters
-        assert sol.W_star.tobytes() == clean.W_star.tobytes()
+        assert sol.status == hg.NUMERICAL_FAILURE
+        assert sol.iters == max(j - 2, 0)
+        assert sol.K_star is None
+        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[: j - 1]]
 
 
 class TestPinnedIterationCounts:
