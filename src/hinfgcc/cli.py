@@ -11,6 +11,7 @@ assumption violated, 4 iteration cap reached, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -298,12 +299,7 @@ def cmd_solve(args) -> int:
         "gamma_star": sol.gamma_star,
         "K_star": sol.K_star.tolist() if sol.K_star is not None else None,
         "W_star": sol.W_star.tolist(),
-        "solver": {
-            "sigma": config.sigma,
-            "tau": config.tau,
-            "eps": config.eps,
-            "max_iters": config.max_iters,
-        },
+        "solver": dataclasses.asdict(config),
         "history_csv": hist_path,
         "N": vset.N,
     }
@@ -505,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_enum = sub.add_parser("enumerate", help="list the extreme systems")
-    add_common(p_enum)
+    p_enum.add_argument("problem", help="problem JSON file")
     p_enum.add_argument("--full", action="store_true", help="print every vertex")
     p_enum.set_defaults(func=cmd_enumerate)
     return parser

@@ -38,8 +38,9 @@ from .errors import (
     SingularSystemError,
 )
 
-# Inputs to sym_sqrt may dip this far below zero before they are rejected
-# rather than clipped.
+# Inputs to sym_sqrt may dip this far below zero, relative to their largest
+# eigenvalue (or 1, whichever is larger), before they are rejected rather
+# than clipped.
 SQRT_PSD_TOL = 1e-6
 
 
@@ -169,10 +170,12 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root R of a PSD matrix, R @ R = S.
 
     Slightly negative eigenvalues (roundoff) are clipped to zero; anything
-    below -SQRT_PSD_TOL is treated as a genuinely indefinite input.
+    below -SQRT_PSD_TOL * max(1, largest eigenvalue) is treated as a
+    genuinely indefinite input. The threshold is relative because the
+    roundoff of an eigensolver scales with the matrix norm.
     """
     w, v = sym_eig(s)
-    if w[-1] < -SQRT_PSD_TOL:
+    if w[-1] < -SQRT_PSD_TOL * max(1.0, w[0]):
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
     out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     return symmetrize(out)

@@ -26,8 +26,10 @@ Each piece of work is done once per iteration:
     written into two buffers allocated once per solve, and the Y step only
     assembles Y from the projections. A breakdown in either half of a pair
     ends the run at that row, as every other breakdown in the loop does.
-  - Y, Z and h are ConsensusVectors: one flat buffer each, with block views,
-    so the Z step is one axpy and every norm is one dot product.
+  - Y, Z, h and Z/sigma are ConsensusVectors: one flat buffer each, with
+    block views, so the Z step is one axpy and every norm is one dot
+    product. Y and h are assembled by the constructor; the Z step and
+    Z/sigma wrap the flat array they compute with `like`, without a copy.
 
 The step functions below take these shared inputs as arguments. W, mu and
 the iteration count are bitwise those of the unfused order (tests pin this).
@@ -101,8 +103,9 @@ class ConsensusVector:
 
     The three parts live in one flat buffer, `flat`; y0 and yi are views of
     it and ylast reads its last entry, so sums, steps and norms over the
-    whole vector are single operations on `flat`. The constructor copies
-    the given blocks into a new buffer.
+    whole vector are single operations on `flat`. There are two ways to
+    make one: the constructor copies the given blocks into a new buffer,
+    and `like` wraps a flat array of the same shape without copying it.
     """
 
     __slots__ = ("flat", "y0", "yi")
@@ -110,55 +113,34 @@ class ConsensusVector:
     def __init__(self, y0: np.ndarray, yi: np.ndarray, ylast: float):
         y0 = np.asarray(y0, dtype=float)
         yi = np.asarray(yi, dtype=float)
-        self._view(np.empty(y0.size + yi.size + 1), y0.shape[0], yi.shape[0], yi.shape[1])
+        self._view(np.empty(y0.size + yi.size + 1), y0.shape[0], yi.shape)
         self.y0[...] = y0
         self.yi[...] = yi
         self.flat[-1] = ylast
 
-    def _view(self, flat: np.ndarray, p: int, n_blocks: int, r: int) -> None:
+    def _view(self, flat: np.ndarray, p: int, yi_shape: tuple[int, ...]) -> None:
         self.flat = flat
         self.y0 = flat[: p * p].reshape(p, p)
-        self.yi = flat[p * p : -1].reshape(n_blocks, r, r)
+        self.yi = flat[p * p : -1].reshape(yi_shape)
 
-    @classmethod
-    def empty(cls, schur: SchurData) -> "ConsensusVector":
-        """Uninitialized vector shaped for the problem."""
-        n_blocks, r, p = schur.h1.shape
-        cv = cls.__new__(cls)
-        cv._view(np.empty(p * p + n_blocks * r * r + 1), p, n_blocks, r)
-        return cv
-
-    @classmethod
-    def zeros(cls, schur: SchurData) -> "ConsensusVector":
-        cv = cls.empty(schur)
-        cv.flat[...] = 0.0
-        return cv
+    def like(self, flat: np.ndarray) -> "ConsensusVector":
+        """A vector shaped as this one over `flat`, which is not copied."""
+        out = ConsensusVector.__new__(ConsensusVector)
+        out._view(flat, self.y0.shape[0], self.yi.shape)
+        return out
 
     @property
     def ylast(self) -> float:
         return float(self.flat[-1])
 
-    @ylast.setter
-    def ylast(self, value: float) -> None:
-        self.flat[-1] = value
-
     def norm(self) -> float:
         return _norm(self.flat)
-
-    def __truediv__(self, c: float) -> "ConsensusVector":
-        out = ConsensusVector.__new__(ConsensusVector)
-        out._view(self.flat / c, self.y0.shape[0], *self.yi.shape[:2])
-        return out
 
 
 def apply_hmap(schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray) -> ConsensusVector:
     """The consensus map (W, all vertex constraint blocks, mu); lin is
     eval_lin_all(schur, w)."""
-    h = ConsensusVector.empty(schur)
-    h.y0[...] = w
-    h.yi[...] = eval_g_all(schur, lin, mu)
-    h.flat[-1] = mu
-    return h
+    return ConsensusVector(w, eval_g_all(schur, lin, mu), mu)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -202,16 +184,14 @@ class Solution:
 
 def init(schur: SchurData) -> SolverState:
     """Fresh all-zero state, the point the loop starts from."""
-    return SolverState(
-        w=np.zeros((schur.p, schur.p)),
-        mu=0.0,
-        y=ConsensusVector.zeros(schur),
-        z=ConsensusVector.zeros(schur),
-    )
+    w = np.zeros((schur.p, schur.p))
+    yi = np.zeros((schur.N, schur.r, schur.r))
+    # the constructor copies, so W, Y and Z share no memory
+    return SolverState(w=w, mu=0.0, y=ConsensusVector(w, yi, 0.0), z=ConsensusVector(w, yi, 0.0))
 
 
 def update_y(
-    state: SolverState, schur: SchurData, zs: ConsensusVector, y0: np.ndarray, yi: np.ndarray
+    state: SolverState, zs: ConsensusVector, y0: np.ndarray, yi: np.ndarray
 ) -> ConsensusVector:
     """Assemble Y from the cone projections of the shifted consensus blocks.
 
@@ -259,15 +239,12 @@ def update_w(
     return kernels.symmetrize(w_vec.reshape((schur.p, schur.p), order="F"))
 
 
-def update_z(
-    state: SolverState, schur: SchurData, config: SolverConfig, h: ConsensusVector
-) -> ConsensusVector:
+def update_z(state: SolverState, config: SolverConfig, h: ConsensusVector) -> ConsensusVector:
     """Multiplier step along the primal residual; expects primals advanced.
 
     h is the consensus map at the state's (W, mu).
     """
-    z = ConsensusVector.empty(schur)
-    np.multiply(config.tau * config.sigma, state.y.flat - h.flat, out=z.flat)
+    z = state.z.like(np.multiply(config.tau * config.sigma, state.y.flat - h.flat))
     z.flat += state.z.flat
     z.y0 += z.y0.T
     z.y0 /= 2.0
@@ -315,7 +292,11 @@ def residuals(
 
 
 def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Feedback gain W2^T W1^{-1} from the partition of a p x p W."""
+    """Feedback gain W2^T W1^{-1} from the partition of a p x p W.
+
+    The state block W1 must be positive definite, as the bounded real lemma
+    needs; a W1 without a Cholesky factor raises ExtractionError.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape != (n + m, n + m):
         raise DimensionError(f"W must be {n + m}x{n + m}, got {w.shape}")
@@ -326,6 +307,10 @@ def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
     cond = np.linalg.cond(w1)
     if not np.isfinite(cond) or cond >= GAIN_COND_LIMIT:
         raise ExtractionError(f"state block of W is near singular (cond ~ {cond:.2e})")
+    try:
+        np.linalg.cholesky(w1)
+    except np.linalg.LinAlgError:
+        raise ExtractionError("state block of W is not positive definite") from None
     return np.linalg.solve(w1.T, w2).T
 
 
@@ -381,18 +366,18 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             lin = eval_lin_all(schur, state.w)
-            zs = state.z / config.sigma
+            zs = state.z.like(state.z.flat / config.sigma)
             h = apply_hmap(schur, state.w, state.mu, lin)
             y0_next, yi_next = _record(state, schur, h, zs, pairs, 0)
             for k in range(1, config.max_iters + 1):
-                state.y = update_y(state, schur, zs, y0_next, yi_next)
+                state.y = update_y(state, zs, y0_next, yi_next)
                 mu_bar = backward_mu(state, schur, config, lin, zs)
                 state.w = update_w(state, schur, mu_bar, zs)
                 lin = eval_lin_all(schur, state.w)
                 state.mu = forward_mu(state, schur, config, lin, zs)
                 h = apply_hmap(schur, state.w, state.mu, lin)
-                state.z = update_z(state, schur, config, h)
-                zs = state.z / config.sigma
+                state.z = update_z(state, config, h)
+                zs = state.z.like(state.z.flat / config.sigma)
                 y0_next, yi_next = _record(state, schur, h, zs, pairs, k)
                 if state.history[-1].err < config.eps:
                     status = CONVERGED

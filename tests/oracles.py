@@ -279,33 +279,37 @@ def consensus_map(schur, state):
     return solver.apply_hmap(schur, state.w, state.mu, eval_lin_all(schur, state.w))
 
 
+def _z_over_sigma(state, cfg):
+    return state.z.like(state.z.flat / cfg.sigma)
+
+
 def update_y(state, schur, cfg):
     """solver.update_y with both targets projected from the state."""
-    zs = state.z / cfg.sigma
+    zs = _z_over_sigma(state, cfg)
     target = consensus_map(schur, state).yi - zs.yi
     return solver.update_y(
-        state, schur, zs, kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
+        state, zs, kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
     )
 
 
 def backward_mu(state, schur, cfg):
     """solver.backward_mu at the state's W."""
-    return solver.backward_mu(state, schur, cfg, eval_lin_all(schur, state.w), state.z / cfg.sigma)
+    return solver.backward_mu(state, schur, cfg, eval_lin_all(schur, state.w), _z_over_sigma(state, cfg))
 
 
 def update_w(state, schur, cfg, mu_bar):
     """solver.update_w with Z/sigma formed from the state."""
-    return solver.update_w(state, schur, mu_bar, state.z / cfg.sigma)
+    return solver.update_w(state, schur, mu_bar, _z_over_sigma(state, cfg))
 
 
 def forward_mu(state, schur, cfg, w_new):
     """solver.forward_mu at a new W."""
-    return solver.forward_mu(state, schur, cfg, eval_lin_all(schur, w_new), state.z / cfg.sigma)
+    return solver.forward_mu(state, schur, cfg, eval_lin_all(schur, w_new), _z_over_sigma(state, cfg))
 
 
 def update_z(state, schur, cfg):
     """solver.update_z with the consensus map evaluated at the state."""
-    return solver.update_z(state, schur, cfg, consensus_map(schur, state))
+    return solver.update_z(state, cfg, consensus_map(schur, state))
 
 
 def residuals(state, schur):

@@ -90,6 +90,13 @@ class TestSolveCommand:
         code = cli.main(["solve", toy_file, "--max-iters", "3", "--out", str(in_tmp / "r.json")])
         assert code == 4
 
+    def test_solver_block_lists_the_config_in_field_order(self, toy_file, in_tmp):
+        out = in_tmp / "r.json"
+        cli.main(["solve", toy_file, "--max-iters", "3", "--tau", "1.5", "--out", str(out)])
+        block = json.loads(out.read_text())["solver"]
+        assert list(block) == ["sigma", "tau", "eps", "max_iters"]
+        assert block["tau"] == 1.5 and block["max_iters"] == 3
+
     @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
     def test_overflowing_sigma_exits_5(self, toy_file, in_tmp, sigma, capsys):
         out = in_tmp / "r.json"
@@ -502,6 +509,12 @@ class TestEnumerateCommand:
     def test_full_listing_prints_matrices(self, toy_file, capsys):
         assert cli.main(["enumerate", toy_file, "--full"]) == 0
         assert "vertex 0" in capsys.readouterr().out
+
+    def test_out_is_not_an_option(self, toy_file):
+        # enumerate only prints, so it takes no output path
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", toy_file, "--out", "listing.txt"])
+        assert exc.value.code == 2
 
     def test_vertex_cap_exceeded(self, tmp_path):
         a = np.ones((4, 4))

@@ -92,6 +92,24 @@ class TestBuildSchur:
         npt.assert_allclose(s.h1[0, :n, n:], e.B2[0])
         npt.assert_allclose(s.h1[0, n:, :], kernels.sym_sqrt(output_weight(e)))
 
+    def test_large_output_weight_is_accepted(self):
+        # R = blockdiag(C^T C, D^T D) is PSD, but its smallest computed
+        # eigenvalue is -0.35 next to a largest of 1.9e17: roundoff on the
+        # scale of the largest eigenvalue, which an absolute threshold
+        # rejected as indefinite
+        plant = hg.PlantModel(
+            A=np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]]),
+            B1=np.eye(3),
+            B2=np.array([[1.0], [0.0], [1.0]]),
+            C=np.array([[3e8, 3e8, 1e8], [0.0, 0.0, 0.0]]),
+            D=np.array([[0.0], [1.0]]),
+        )
+        hg.validate_plant(plant)
+        built = BuiltProblem(plant, hg.UncertaintySpec.none())
+        r = output_weight(built.ext)
+        half = built.schur.h1[0, built.ext.n :, :]
+        npt.assert_allclose(half @ half, r, rtol=0.0, atol=1e-14 * np.linalg.norm(r))
+
     def test_disjoint_blocks_make_h0_h3_orthogonal(self, example1, example2):
         for s in (example1.schur, example2.schur):
             assert np.trace(s.h0 @ s.h3) == 0.0

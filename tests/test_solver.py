@@ -79,7 +79,23 @@ class TestSolverConfig:
         assert cfg.tau == 1.618 and cfg.sigma > 0
 
 
+class TestConsensusVector:
+    def test_like_wraps_without_copy(self, small_problem):
+        z = solver.init(small_problem.schur).z
+        flat = np.arange(z.flat.size, dtype=float)
+        v = z.like(flat)
+        assert v.flat is flat
+        assert np.shares_memory(v.y0, flat) and np.shares_memory(v.yi, flat)
+        assert v.y0.shape == z.y0.shape and v.yi.shape == z.yi.shape
+        assert v.ylast == flat[-1]
+
+
 class TestInit:
+    def test_state_blocks_share_no_memory(self, toy):
+        st = solver.init(toy.schur)
+        assert not np.shares_memory(st.y.flat, st.z.flat)
+        assert not np.shares_memory(st.w, st.y.flat) and not np.shares_memory(st.w, st.z.flat)
+
     def test_default_start_is_zero(self, toy):
         st = solver.init(toy.schur)
         assert not st.w.any() and st.mu == 0.0
@@ -240,7 +256,7 @@ class TestUpdateZ:
         cfg = hg.SolverConfig(sigma=1.0, tau=1.0)
         rng = np.random.default_rng(8)
         st = random_state(rng, small_problem)
-        st.z = ConsensusVector.zeros(small_problem.schur)
+        st.z = solver.init(small_problem.schur).z
         z = oracles.update_z(st, small_problem.schur, cfg)
         h = oracles.consensus_map(small_problem.schur, st)
         npt.assert_allclose(z.y0, st.y.y0 - h.y0, atol=1e-12)
@@ -387,6 +403,14 @@ class TestExtractGain:
         with pytest.raises(hg.DimensionError):
             solver.extract_gain(np.eye(3), 3, 1)
 
+    def test_indefinite_state_block_rejected(self):
+        # W1 = diag(-1, 1) is perfectly conditioned but has no Cholesky factor
+        w = np.diag([-1.0, 1.0, 1.0])
+        w[0, 2] = w[2, 0] = 0.5
+        assert np.linalg.cond(w[:2, :2]) == 1.0
+        with pytest.raises(hg.ExtractionError):
+            solver.extract_gain(w, 2, 1)
+
 
 class TestSolutionInvariants:
     def test_gamma_is_inverse_sqrt_mu(self, toy_solution):
@@ -407,12 +431,19 @@ class TestSolutionInvariants:
 class TestNonFiniteIterates:
     """Extreme penalties overflow the iterates; the run must end in a status."""
 
-    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
-    @pytest.mark.parametrize("sigma", [1e-200, 1e-30, 1e200])
-    def test_extreme_sigma_never_converges(self, toy, sigma, eps):
+    @pytest.mark.parametrize("name, sigma, eps", [
+        *(pytest.param("toy", s, e, id=f"{s}-{e}")
+          for e in (1e-3, 1e-4, 1e-6) for s in (1e-200, 1e-30, 1e200)),
+        # every norm grows to about 1e27, so the relative residuals meet eps
+        # at mu ~ 2e17 and a W whose state block is indefinite
+        pytest.param("example2", 1e-30, 1e-6, id="example2-1e-30-1e-06"),
+    ])
+    def test_extreme_sigma_never_converges(self, request, name, sigma, eps):
+        schur = request.getfixturevalue(name).schur
         with np.errstate(all="ignore"):
-            sol = hg.solve(toy.schur, hg.SolverConfig(sigma=sigma, eps=eps, max_iters=2000))
+            sol = hg.solve(schur, hg.SolverConfig(sigma=sigma, eps=eps, max_iters=2000))
         assert sol.status != hg.CONVERGED
+        assert sol.K_star is None
         assert [h.k for h in sol.history] == list(range(sol.iters + 1))
 
     @pytest.mark.parametrize("sigma", [1e-200, 1e200])
@@ -425,10 +456,10 @@ class TestNonFiniteIterates:
     @pytest.mark.parametrize("bad", ["W", "Z"])
     def test_nan_start_is_a_numerical_failure(self, toy, bad, monkeypatch):
         w = np.full((2, 2), np.nan) if bad == "W" else np.eye(2)
-        z = ConsensusVector.zeros(toy.schur)
+        z = solver.init(toy.schur).z
         if bad == "Z":
             z.yi[0, 0, 0] = np.nan
-        start = solver.SolverState(w=w, mu=1.0, y=ConsensusVector.zeros(toy.schur), z=z)
+        start = solver.SolverState(w=w, mu=1.0, y=solver.init(toy.schur).y, z=z)
         monkeypatch.setattr(solver, "init", lambda schur: start)
         sol = hg.solve(toy.schur, hg.SolverConfig())
         assert sol.status == hg.NUMERICAL_FAILURE
@@ -571,7 +602,7 @@ class TestResidualsFromDefinition:
                 st.y.y0[...] = kernels.symmetrize(rng.standard_normal((s.p, s.p)))
                 a = rng.standard_normal((s.N, s.r, s.r))
                 st.y.yi[...] = (a + a.transpose(0, 2, 1)) / 2
-                st.y.ylast = -abs(float(rng.standard_normal()))
+                st.y.flat[-1] = -abs(float(rng.standard_normal()))
                 assert np.linalg.eigvalsh(st.y.yi).min() < 0.0
             y = (st.y.y0, st.y.yi, st.y.ylast)
             z = (st.z.y0, st.z.yi, st.z.ylast)
