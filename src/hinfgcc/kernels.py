@@ -69,8 +69,14 @@ class EigDecomp(NamedTuple):
 
 def symmetrize(s: np.ndarray) -> np.ndarray:
     """Return (S + S^T)/2, the symmetric part of a square matrix or of each
-    matrix of a (k, n, n) stack."""
-    return (s + s.swapaxes(-1, -2)) / 2.0
+    matrix of a (k, n, n) stack.
+
+    The sum is halved in place by multiplying with 0.5, which rounds
+    exactly as dividing by 2 does, at a fraction of its cost.
+    """
+    out = s + s.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def _check_finite(a: np.ndarray, name: str) -> np.ndarray:

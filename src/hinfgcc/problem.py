@@ -64,6 +64,14 @@ class SchurData:
     The sizes are those of the h1 stack, (N, r, p) with r = m + 2n and
     p = m + n. wsolve_inv is the inverse of w_operator(h1, h2), the SPD
     matrix of the vectorized W subproblem, computed once.
+
+    Three of the operators are sparse in a fixed pattern that the per-vertex
+    maps (eval_lin_all, eval_g_all and the solver's W step and residuals)
+    use instead of multiplying by them: h2 is the selector [I_n 0], so a
+    product with h2 or h2^T is a column or row slice; h0 is zero outside
+    its trailing p x p block, the identity; h3 is zero outside its leading
+    n x n block, -B1 B1^T. The structured forms are byte-equal to the dense
+    products (tests compare them with the dense formulas).
     """
 
     h0: np.ndarray  # (r, r)
@@ -170,19 +178,34 @@ def eval_theta1(ext: ExtendedMatrices, w: np.ndarray, mu: float) -> np.ndarray:
 
 
 def eval_lin_all(schur: SchurData, w: np.ndarray) -> np.ndarray:
-    """The part of every constraint block that is linear in W, (N, r, r).
+    """The part of every constraint block that is linear in W, (N, r, r):
+    h1_i W h2 + (h2^T W) h1_i^T for each vertex i.
 
-    Written with the second product transposing the operator factors rather
-    than W itself, so the expression stays the exact linearization even when
-    probed with a nonsymmetric W (finite-difference tests rely on this); for
-    symmetric W the two readings coincide.
+    As h2 = [I_n 0], the first term is h1_i W[:, :n] in the first n columns
+    and the second is (h1_i W[:n, :]^T)^T in the first n rows, so both come
+    from one (N r, p) x (p, 2n) product of the stacked h1 with
+    [W[:, :n] | W[:n, :]^T], and one transpose-add; the result is byte-equal
+    to the dense products. The second term is formed from W[:n, :] rather
+    than as the transpose of the first, so the expression stays the exact
+    linearization even when probed with a nonsymmetric W (finite-difference
+    tests rely on this); for symmetric W the two readings coincide.
     """
-    lin = schur.h1 @ w @ schur.h2
-    return lin + (schur.h2.T @ w) @ schur.h1.transpose(0, 2, 1)
+    N, r, p = schur.h1.shape
+    n = r - p
+    cols = np.concatenate((w[:, :n], w[:n, :].T), axis=1)
+    prod = (schur.h1.reshape(N * r, p) @ cols).reshape(N, r, 2 * n)
+    lin = np.zeros((N, r, r))
+    lin[:, :, :n] = prod[:, :, :n]
+    lin[:, :n, :] += prod[:, :, n:].transpose(0, 2, 1)
+    return lin
 
 
 def eval_g_all(schur: SchurData, lin: np.ndarray, mu: float) -> np.ndarray:
     """All N Schur-form constraint blocks as one (N, r, r) stack, from their
     W-linear part lin = eval_lin_all(schur, w); block i is feasible iff >= 0.
+
+    The constant mu h3 + h0 is formed once and added in one pass; h3 and h0
+    have disjoint supports, so this is byte-equal to adding them one after
+    the other.
     """
-    return lin + mu * schur.h3 + schur.h0
+    return lin + (mu * schur.h3 + schur.h0)

@@ -30,6 +30,16 @@ Each piece of work is done once per iteration:
     block views, so the Z step is one axpy and every norm is one dot
     product. Y and h are assembled by the constructor; the Z step and
     Z/sigma wrap the flat array they compute with `like`, without a copy.
+    The residuals write Y - Pi(Y - Z) into one buffer.
+
+The per-vertex products use the structure of the operators (see
+problem.SchurData): h2 = [I_n 0], so the W step forms only the first n
+columns of mu_bar h3 + h0 - Y_i - Z_i/sigma, and the per-vertex gradient in
+the residuals is one batched h1_i^T Z_i[:, :n] plus its transpose. Y, h and
+Z have exactly symmetric blocks (W and the projections are symmetrized, and
+the constraint map keeps symmetry bit for bit), so the Z step is not
+re-symmetrized. All of these are byte-equal to the dense products (tests
+compare them with the dense forms and pin the symmetry along whole runs).
 
 The step functions below take these shared inputs as arguments. W, mu and
 the iteration count are bitwise those of the unfused order (tests pin this).
@@ -230,26 +240,32 @@ def update_w(
     state: SolverState, schur: SchurData, mu_bar: float, zs: ConsensusVector
 ) -> np.ndarray:
     """Solve the vectorized W subproblem against the precomputed inverse;
-    zs is Z/sigma."""
-    mid = mu_bar * schur.h3 + schur.h0 - state.y.yi - zs.yi
-    s = (schur.h1.transpose(0, 2, 1) @ mid @ schur.h2.T).sum(axis=0)
+    zs is Z/sigma.
+
+    The right-hand side sums h1_i^T mid_i h2^T over the vertices, with
+    mid_i = mu_bar h3 + h0 - Y_i - Z_i/sigma. As h2 = [I_n 0], only the
+    first n columns of mid are formed, and the sum fills the first n
+    columns of s.
+    """
+    _, r, p = schur.h1.shape
+    n = r - p
+    mid = (mu_bar * schur.h3 + schur.h0)[:, :n] - state.y.yi[:, :, :n] - zs.yi[:, :, :n]
+    s = np.zeros((p, p))
+    s[:, :n] = (schur.h1.transpose(0, 2, 1) @ mid).sum(axis=0)
     t0 = -state.y.y0 - zs.y0 + s + s.T
     # vec stacks columns, so both reshapes are column-major
     w_vec = -kernels.spd_solve(schur.wsolve_inv, t0.reshape(-1, order="F"))
-    return kernels.symmetrize(w_vec.reshape((schur.p, schur.p), order="F"))
+    return kernels.symmetrize(w_vec.reshape((p, p), order="F"))
 
 
 def update_z(state: SolverState, config: SolverConfig, h: ConsensusVector) -> ConsensusVector:
     """Multiplier step along the primal residual; expects primals advanced.
 
-    h is the consensus map at the state's (W, mu).
+    h is the consensus map at the state's (W, mu). Y, h and Z have exactly
+    symmetric blocks, so the step has too and is not re-symmetrized.
     """
     z = state.z.like(np.multiply(config.tau * config.sigma, state.y.flat - h.flat))
     z.flat += state.z.flat
-    z.y0 += z.y0.T
-    z.y0 /= 2.0
-    z.yi += z.yi.transpose(0, 2, 1)
-    z.yi /= 2.0
     return z
 
 
@@ -265,10 +281,18 @@ def residuals(
     h is the consensus map at the state's (W, mu); proj_y0 and proj_yi are
     the projections of the p x p block and of the vertex blocks of Y - Z.
     Raises NumericalError when an iterate or a residual is not finite.
+
+    The gradient of vertex i, h1_i^T Z_i h2^T + h2 Z_i h1_i, is Q_i in the
+    first n columns plus Q_i^T in the first n rows, Q_i = h1_i^T Z_i[:, :n]:
+    h2 = [I_n 0] and Z_i is exactly symmetric.
     """
     y, z = state.y, state.z
-    h1t = schur.h1.transpose(0, 2, 1)
-    per_vertex = h1t @ z.yi @ schur.h2.T + schur.h2 @ z.yi @ schur.h1
+    N, r, p = schur.h1.shape
+    n = r - p
+    q = schur.h1.transpose(0, 2, 1) @ z.yi[:, :, :n]
+    per_vertex = np.zeros((N, p, p))
+    per_vertex[:, :, :n] = q
+    per_vertex[:, :n, :] += q.transpose(0, 2, 1)
     grad_w = z.y0 + per_vertex.sum(axis=0)
     vertex_norms = np.sqrt(np.add.reduce(per_vertex * per_vertex, axis=(1, 2)))
     den_w = 1.0 + _norm(z.y0) + float(vertex_norms.sum())
@@ -276,10 +300,14 @@ def residuals(
 
     err_mu = abs(1.0 + z.ylast + float(np.einsum("irs,rs->", z.yi, schur.h3))) / 2.0
 
-    proj = ConsensusVector(proj_y0, proj_yi, kernels.project_nonneg(y.ylast - z.ylast))
+    # Y - Pi(Y - Z)
+    gap = y.like(np.empty_like(y.flat))
+    np.subtract(y.y0, proj_y0, out=gap.y0)
+    np.subtract(y.yi, proj_yi, out=gap.yi)
+    gap.flat[-1] = y.ylast - kernels.project_nonneg(y.ylast - z.ylast)
     norm_y = y.norm()
     norm_z = z.norm()
-    err_y = _norm(y.flat - proj.flat) / (1.0 + norm_y + norm_z)
+    err_y = gap.norm() / (1.0 + norm_y + norm_z)
 
     norm_h = h.norm()
     err_eq = _norm(y.flat - h.flat) / (1.0 + norm_y + norm_h)

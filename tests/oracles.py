@@ -2,7 +2,9 @@
 
 These are the single-vertex and unvectorized forms of the program's maps,
 the augmented Lagrangian used for finite-difference stationarity checks,
-the bisection that certified_attenuation's closed form replaced, the
+the dense products with the sparse operators h0, h2 and h3 that the
+per-vertex maps replaced by slices of their supports, the bisection that
+certified_attenuation's closed form replaced, the
 padded extended system and per-vertex enumeration loop that the vertex
 stacks replaced, the per-vertex norm check as it was before it called the
 LAPACK gufuncs directly, and the one-call forms of the solver's steps: each
@@ -57,10 +59,55 @@ def wsolve(schur):
 def wsolve_apply(schur, x):
     """Apply the (un-vectorized) W-solve operator to a symmetric matrix:
     X plus the vertex sum of the sandwich terms."""
-    h1, h2 = schur.h1, schur.h2
-    h1t = h1.transpose(0, 2, 1)
-    lin = h1 @ x @ h2 + (h2.T @ x) @ h1t
-    return x + (h1t @ lin @ h2.T + h2 @ lin @ h1).sum(axis=0)
+    return x + vertex_grads_dense(schur, lin_dense(schur, x)).sum(axis=0)
+
+
+# --- dense forms of the per-vertex operators ------------------------------------
+#
+# The maps as products with the full h0, h2 and h3, the way eval_lin_all,
+# eval_g_all, solver.update_w and solver.residuals computed them before they
+# used that h2 is the selector [I_n 0] and that h0 and h3 vanish outside one
+# diagonal block each. The structured forms must give the same bytes.
+
+
+def lin_dense(schur, w):
+    """h1_i W h2 + (h2^T W) h1_i^T for every vertex, (N, r, r)."""
+    return schur.h1 @ w @ schur.h2 + (schur.h2.T @ w) @ schur.h1.transpose(0, 2, 1)
+
+
+def g_dense(schur, lin, mu):
+    """The constraint blocks from their W-linear part, adding mu h3 and h0
+    one after the other."""
+    return lin + mu * schur.h3 + schur.h0
+
+
+def w_rhs_dense(schur, mid):
+    """sum_i h1_i^T mid_i h2^T, (p, p)."""
+    return (schur.h1.transpose(0, 2, 1) @ mid @ schur.h2.T).sum(axis=0)
+
+
+def vertex_grads_dense(schur, zi):
+    """h1_i^T Z_i h2^T + h2 Z_i h1_i for every vertex, (N, p, p)."""
+    return schur.h1.transpose(0, 2, 1) @ zi @ schur.h2.T + schur.h2 @ zi @ schur.h1
+
+
+def update_w_dense(state, schur, mu_bar, zs):
+    """solver.update_w with the full mid and w_rhs_dense."""
+    mid = mu_bar * schur.h3 + schur.h0 - state.y.yi - zs.yi
+    s = w_rhs_dense(schur, mid)
+    t0 = -state.y.y0 - zs.y0 + s + s.T
+    w_vec = -kernels.spd_solve(schur.wsolve_inv, t0.reshape(-1, order="F"))
+    return kernels.symmetrize(w_vec.reshape((schur.p, schur.p), order="F"))
+
+
+def err_w_dense(state, schur):
+    """The err_W residual of solver.residuals from vertex_grads_dense."""
+    z = state.z
+    per_vertex = vertex_grads_dense(schur, z.yi)
+    grad_w = z.y0 + per_vertex.sum(axis=0)
+    vertex_norms = np.sqrt(np.add.reduce(per_vertex * per_vertex, axis=(1, 2)))
+    den_w = 1.0 + math.sqrt(float(z.y0.ravel() @ z.y0.ravel())) + float(vertex_norms.sum())
+    return math.sqrt(float(grad_w.ravel() @ grad_w.ravel())) / den_w
 
 
 def lagrangian(schur, cfg, y, w, mu, z):

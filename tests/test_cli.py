@@ -400,6 +400,15 @@ class TestSimulateCommand:
         assert code == 0
         assert (in_tmp / "v0_ch0.csv").exists() and (in_tmp / "v0_ch1.csv").exists()
 
+    def test_step_count_over_cap_exits_2(self, toy_file, in_tmp, capsys):
+        gain = write_json(in_tmp / "k.json", {"K": [[1.0]]})
+        argv = ["simulate", toy_file, gain, "--horizon", "1e300", "--dt", "1e-3",
+                "--out", str(in_tmp / "imp")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and "Traceback" not in err
+        assert not list(in_tmp.glob("imp*"))
+
     def test_zero_dt_rejected(self, toy_file, in_tmp):
         gain = write_json(in_tmp / "k.json", {"K": [[1.0]]})
         assert cli.main(["simulate", toy_file, gain, "--dt", "0"]) == 2

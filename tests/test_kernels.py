@@ -520,6 +520,19 @@ def test_symmetrize_enforces_symmetry_to_tolerance():
     assert np.abs(s - s.T).max() <= 1e-12
 
 
+def test_symmetrize_halving_is_bitwise_division_by_two():
+    # subnormal, signed-zero, huge and non-finite entries round the same way
+    rng = np.random.default_rng(16)
+    stack = rng.standard_normal((5, 4, 4)) * 10.0 ** rng.integers(-320, 308, (5, 4, 4))
+    stack[0, 0, 1], stack[0, 1, 0] = -0.0, -0.0
+    stack[1, 2, 3], stack[1, 3, 2] = 1.7e308, 1.7e308
+    stack[2, 0, 3], stack[3, 1, 1] = np.inf, np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = (stack + stack.swapaxes(-1, -2)) / 2.0
+        out = kernels.symmetrize(stack)
+    assert out.tobytes() == dense.tobytes()
+
+
 def test_symmetrize_acts_on_each_matrix_of_a_stack():
     rng = np.random.default_rng(15)
     stack = rng.standard_normal((3, 4, 4))

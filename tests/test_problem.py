@@ -265,6 +265,37 @@ class TestEvalTheta1:
                 npt.assert_allclose(stacked[i], oracles.eval_theta1(ext, i, w, mu), rtol=1e-12, atol=1e-14)
 
 
+class TestStructuredOperators:
+    """eval_lin_all and eval_g_all slice the supports of h0, h2 and h3
+    instead of multiplying by them: byte-equal to the dense products for
+    symmetric W, equal to rounding for nonsymmetric W."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_lin_is_byte_equal_to_dense_for_symmetric_w(self, request, name):
+        schur = request.getfixturevalue(name).schur
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            w = kernels.symmetrize(rng.standard_normal((schur.p, schur.p)))
+            assert same_bytes(eval_lin_all(schur, w), oracles.lin_dense(schur, w))
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_lin_matches_dense_for_nonsymmetric_w(self, request, name):
+        schur = request.getfixturevalue(name).schur
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            w = rng.standard_normal((schur.p, schur.p))
+            npt.assert_allclose(eval_lin_all(schur, w), oracles.lin_dense(schur, w), rtol=1e-14)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_g_is_byte_equal_to_adding_h3_and_h0_apart(self, request, name):
+        schur = request.getfixturevalue(name).schur
+        rng = np.random.default_rng(43)
+        w = kernels.symmetrize(rng.standard_normal((schur.p, schur.p)))
+        lin = eval_lin_all(schur, w)
+        for mu in (0.0, -0.0, 0.7, -1.3, float(rng.standard_normal())):
+            assert same_bytes(eval_g_all(schur, lin, mu), oracles.g_dense(schur, lin, mu))
+
+
 class TestEvalG:
     def test_zero_point_gives_constant_block(self, example1):
         npt.assert_allclose(oracles.eval_g(example1.schur, 0, np.zeros((4, 4)), 0.0), example1.schur.h0)

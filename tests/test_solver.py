@@ -15,7 +15,7 @@ from hinfgcc import kernels, solver
 from hinfgcc.solver import ConsensusVector
 
 import oracles
-from conftest import BuiltProblem
+from conftest import PUBLISHED_EX1, PUBLISHED_EX2, BuiltProblem
 
 
 def random_state(rng, built, scale=1.0):
@@ -312,6 +312,62 @@ class TestResiduals:
         st.y = oracles.consensus_map(small_problem.schur, st)
         _, _, _, err_eq, _ = oracles.residuals(st, small_problem.schur)
         assert err_eq <= 1e-14
+
+
+class TestStructuredSteps:
+    """update_w and residuals use that h2 = [I_n 0] and that Z is exactly
+    symmetric: W and err_W are byte-equal to the dense products."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_update_w_is_byte_equal_to_dense(self, request, name):
+        built = request.getfixturevalue(name)
+        cfg = hg.SolverConfig(sigma=0.3, tau=1.0)
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            st = random_state(rng, built)
+            zs = st.z.like(st.z.flat / cfg.sigma)
+            mu_bar = float(rng.standard_normal())
+            w = solver.update_w(st, built.schur, mu_bar, zs)
+            assert w.tobytes() == oracles.update_w_dense(st, built.schur, mu_bar, zs).tobytes()
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_err_w_is_byte_equal_to_dense(self, request, name):
+        built = request.getfixturevalue(name)
+        rng = np.random.default_rng(45)
+        for _ in range(3):
+            st = random_state(rng, built)
+            err_w = oracles.residuals(st, built.schur)[0]
+            assert err_w == oracles.err_w_dense(st, built.schur)
+
+
+class TestExactSymmetry:
+    """update_z does not re-symmetrize its step: Y, the consensus map h and
+    the Z step have exactly symmetric blocks at every iteration."""
+
+    @pytest.mark.parametrize("name, config", [
+        ("toy", hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)),
+        ("example1", hg.SolverConfig(
+            sigma=PUBLISHED_EX1["sigma"], tau=PUBLISHED_EX1["tau"], eps=PUBLISHED_EX1["eps"])),
+        ("example2", hg.SolverConfig(
+            sigma=PUBLISHED_EX2["sigma"], tau=PUBLISHED_EX2["tau"], eps=PUBLISHED_EX2["eps"])),
+    ], ids=["toy", "example1", "example2"])
+    def test_blocks_equal_their_transposes_at_every_row(self, request, monkeypatch, name, config):
+        built = request.getfixturevalue(name)
+        step = solver.update_z
+        rows = []
+
+        def checked(state, cfg, h):
+            z = step(state, cfg, h)
+            rows.append(all(
+                np.array_equal(v.y0, v.y0.T) and np.array_equal(v.yi, v.yi.transpose(0, 2, 1))
+                for v in (state.y, h, z)
+            ))
+            return z
+
+        monkeypatch.setattr(solver, "update_z", checked)
+        sol = hg.solve(built.schur, config)
+        assert sol.status == hg.CONVERGED
+        assert len(rows) == sol.iters and all(rows)
 
 
 class TestSolveToy:

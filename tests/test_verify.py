@@ -620,3 +620,13 @@ class TestImpulseResponse:
         cl = ClosedLoop(-np.eye(1), np.eye(1), np.eye(1))
         with pytest.raises(hg.DimensionError):
             hg.impulse_response(cl, horizon=horizon, dt=dt)
+
+    @pytest.mark.parametrize("horizon, dt", [
+        (1e300, 1e-3), ((verify.MAX_STEPS + 1) * 1e-3, 1e-3),
+    ])
+    def test_step_count_over_cap_rejected_before_any_work(self, horizon, dt):
+        # a loop without matrices: touching it before the check would raise
+        # something else than DimensionError
+        cl = ClosedLoop(None, None, None)
+        with pytest.raises(hg.DimensionError, match="exceeds the cap"):
+            hg.impulse_response(cl, horizon=horizon, dt=dt)
