@@ -2,7 +2,8 @@
 
 Every other module routes its linear algebra through here so that numerical
 policy (symmetrization, eigenvalue clipping, factorization choices) lives in
-one place. All functions are pure and safe to call concurrently.
+one place. All functions are pure, apart from filling an `out` array that
+a caller gives, and safe to call concurrently on distinct outputs.
 
 Only numpy is used. The one linear system the solver meets, the p^2 x p^2
 W operator, is inverted once through its Cholesky factor (spd_factor), so
@@ -11,7 +12,8 @@ each iteration's solve is a single matrix-vector product (spd_solve).
 The solver's 2N vertex projections per iteration (project_psd_stack) are
 screened by one batched Cholesky factorization: the positive definite
 blocks, which inactive vertices give, are their own projection, and only
-the rest are eigendecomposed.
+the rest are eigendecomposed. The projection goes into a buffer that the
+solver allocates once per solve.
 
 The solver's symmetric eigendecompositions (sym_eig, and the blocks that
 fail the screen) and the per-vertex norm check (eig_general and
@@ -67,14 +69,15 @@ class EigDecomp(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
 
 
-def symmetrize(s: np.ndarray) -> np.ndarray:
+def symmetrize(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Return (S + S^T)/2, the symmetric part of a square matrix or of each
-    matrix of a (k, n, n) stack.
+    matrix of a (k, n, n) stack, in `out` when one is given (it must not
+    overlap S).
 
     The sum is halved in place by multiplying with 0.5, which rounds
     exactly as dividing by 2 does, at a fraction of its cost.
     """
-    out = s + s.swapaxes(-1, -2)
+    out = np.add(s, s.swapaxes(-1, -2), out=out)
     out *= 0.5
     return out
 
@@ -143,28 +146,31 @@ def _clip_stack(stack: np.ndarray) -> np.ndarray:
     return symmetrize(v @ (np.maximum(w, 0.0)[..., None] * np.swapaxes(v, -1, -2)))
 
 
-def project_psd_stack(stack: np.ndarray) -> np.ndarray:
+def project_psd_stack(stack: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """project_psd of each block of a (k, n, n) array, screened.
 
     Same clipping policy as project_psd; kept here so every projection in
     the package shares it. One batched Cholesky factorization screens the
     stack first: a block it factors is positive definite and is its own
     projection, so it is returned as its symmetric part; only the blocks
-    that fail the screen are eigendecomposed. If none passes, the whole
-    stack goes through the eigensolver as one batch.
+    that fail the screen are eigendecomposed, as one batch.
+
+    The projection is written into `out`, a new array unless the caller
+    gives one shaped as the stack that does not overlap it: a caller that
+    projects once per iteration allocates it once.
     """
     stack = _check_finite(stack, "stack")
-    stack = symmetrize(stack)
+    out = symmetrize(stack, out)
     # the gufunc behind np.linalg.cholesky: a block it cannot factor comes
     # back as NaN (with an invalid-value flag) instead of failing the call
     with np.errstate(invalid="ignore"):
-        chol = _umath_linalg.cholesky_lo(stack, signature="d->d")
+        chol = _umath_linalg.cholesky_lo(out, signature="d->d")
     fails = np.isnan(chol[..., 0, 0])
     if fails.all():
-        return _clip_stack(stack)
-    if fails.any():
-        stack[fails] = _clip_stack(stack[fails])
-    return stack
+        out[...] = _clip_stack(out)
+    elif fails.any():
+        out[fails] = _clip_stack(out[fails])
+    return out
 
 
 def project_nonneg(x: float) -> float:

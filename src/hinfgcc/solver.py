@@ -23,14 +23,17 @@ Each piece of work is done once per iteration:
     as one stack (kernels.project_psd), the 2N vertex blocks as another, in
     which only the blocks that are not positive definite are
     eigendecomposed (kernels.project_psd_stack). The differences are
-    written into two buffers allocated once per solve, and the Y step only
-    assembles Y from the projections. A breakdown in either half of a pair
-    ends the run at that row, as every other breakdown in the loop does.
-  - Y, Z, h and Z/sigma are ConsensusVectors: one flat buffer each, with
-    block views, so the Z step is one axpy and every norm is one dot
-    product. Y and h are assembled by the constructor; the Z step and
-    Z/sigma wrap the flat array they compute with `like`, without a copy.
-    The residuals write Y - Pi(Y - Z) into one buffer.
+    written into two buffers allocated once per solve, the vertex pair is
+    projected into a third, and the Y step only assembles Y from the
+    projections. A breakdown in either half of a pair ends the run at that
+    row, as every other breakdown in the loop does.
+  - Y, Z, h and Z/sigma are ConsensusVectors over the rows of one workspace
+    that the state allocates once (SolverState), with the Z step, Y - h and
+    Y - Pi(Y - Z). Every step writes into its row, so no consensus vector
+    is allocated per iteration (the constraint map's stacks still are), the
+    Z step is one axpy, and the norms of Y, Z, h, Y - h and Y - Pi(Y - Z)
+    are one np.vecdot over five rows, which rounds as one dot product per
+    row does.
 
 The per-vertex products use the structure of the operators (see
 problem.SchurData): h2 = [I_n 0], so the W step forms only the first n
@@ -38,8 +41,10 @@ columns of mu_bar h3 + h0 - Y_i - Z_i/sigma, and the per-vertex gradient in
 the residuals is one batched h1_i^T Z_i[:, :n] plus its transpose. Y, h and
 Z have exactly symmetric blocks (W and the projections are symmetrized, and
 the constraint map keeps symmetry bit for bit), so the Z step is not
-re-symmetrized. All of these are byte-equal to the dense products (tests
-compare them with the dense forms and pin the symmetry along whole runs).
+re-symmetrized, and both products read the first n rows of Y_i and Z_i,
+transposed, where the columns are strided. All of these are byte-equal to
+the dense products (tests compare them with the dense forms and pin the
+symmetry along whole runs).
 
 The step functions below take these shared inputs as arguments. W, mu and
 the iteration count are bitwise those of the unfused order (tests pin this).
@@ -53,7 +58,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -143,15 +148,6 @@ class ConsensusVector:
     def ylast(self) -> float:
         return float(self.flat[-1])
 
-    def norm(self) -> float:
-        return _norm(self.flat)
-
-
-def apply_hmap(schur: SchurData, w: np.ndarray, mu: float, lin: np.ndarray) -> ConsensusVector:
-    """The consensus map (W, all vertex constraint blocks, mu); lin is
-    eval_lin_all(schur, w)."""
-    return ConsensusVector(w, eval_g_all(schur, lin, mu), mu)
-
 
 def _norm(a: np.ndarray) -> float:
     """Frobenius norm, as np.linalg.norm computes it, without its dispatch."""
@@ -169,16 +165,43 @@ class HistoryEntry(NamedTuple):
     mu: float
 
 
-@dataclass
 class SolverState:
-    """Mutable iterate: primal (W, mu), consensus Y, multipliers Z, history."""
+    """Mutable iterate: primal (W, mu), consensus Y, multipliers Z, history,
+    and the workspace the steps write into.
 
-    w: np.ndarray
-    mu: float
-    y: ConsensusVector
-    z: ConsensusVector
-    k: int = 0
-    history: list[HistoryEntry] = field(default_factory=list)
+    The workspace is one (7, L) array, L the length of a consensus vector,
+    allocated once with the state. Its rows hold Y, Z, the consensus map h,
+    Y - h, Y - Pi(Y - Z), Z/sigma and the Z step, each seen through a
+    ConsensusVector; the first five are the vectors the residuals take
+    norms of. The constructor copies the given Y and Z into their rows, and
+    so does assigning state.y or state.z.
+    """
+
+    def __init__(self, w: np.ndarray, mu: float, y: ConsensusVector, z: ConsensusVector):
+        self.w = w
+        self.mu = mu
+        self.k = 0
+        self.history: list[HistoryEntry] = []
+        self.rows = np.empty((7, y.flat.size))
+        self._y, self._z, self.h, self.eq, self.gap, self.zs, self.step = map(y.like, self.rows)
+        self.y = y
+        self.z = z
+
+    @property
+    def y(self) -> ConsensusVector:
+        return self._y
+
+    @y.setter
+    def y(self, value: ConsensusVector) -> None:
+        self._y.flat[...] = value.flat  # no copy when value is the row itself
+
+    @property
+    def z(self) -> ConsensusVector:
+        return self._z
+
+    @z.setter
+    def z(self, value: ConsensusVector) -> None:
+        self._z.flat[...] = value.flat
 
 
 @dataclass
@@ -194,22 +217,25 @@ class Solution:
 
 def init(schur: SchurData) -> SolverState:
     """Fresh all-zero state, the point the loop starts from."""
-    w = np.zeros((schur.p, schur.p))
-    yi = np.zeros((schur.N, schur.r, schur.r))
-    # the constructor copies, so W, Y and Z share no memory
-    return SolverState(w=w, mu=0.0, y=ConsensusVector(w, yi, 0.0), z=ConsensusVector(w, yi, 0.0))
+    zero = ConsensusVector(np.zeros((schur.p, schur.p)), np.zeros((schur.N, schur.r, schur.r)), 0.0)
+    return SolverState(w=np.zeros((schur.p, schur.p)), mu=0.0, y=zero, z=zero)
 
 
 def update_y(
     state: SolverState, zs: ConsensusVector, y0: np.ndarray, yi: np.ndarray
 ) -> ConsensusVector:
-    """Assemble Y from the cone projections of the shifted consensus blocks.
+    """Assemble Y in the state's row from the cone projections of the
+    shifted consensus blocks; return it.
 
     zs is Z/sigma; y0 and yi are the projections of W - Z0/sigma and of the
     vertex blocks G(W, mu) - Z_i/sigma that _record made one iteration
     early; only the scalar block is projected here.
     """
-    return ConsensusVector(y0, yi, kernels.project_nonneg(state.mu - zs.flat[-1]))
+    y = state.y
+    y.y0[...] = y0
+    y.yi[...] = yi
+    y.flat[-1] = kernels.project_nonneg(state.mu - zs.flat[-1])
+    return y
 
 
 def backward_mu(
@@ -244,14 +270,15 @@ def update_w(
 
     The right-hand side sums h1_i^T mid_i h2^T over the vertices, with
     mid_i = mu_bar h3 + h0 - Y_i - Z_i/sigma. As h2 = [I_n 0], only the
-    first n columns of mid are formed, and the sum fills the first n
-    columns of s.
+    first n columns of mid are needed, and the sum fills the first n
+    columns of s. They are formed transposed, from the first n rows of Y_i
+    and Z_i/sigma, which are exactly symmetric.
     """
     _, r, p = schur.h1.shape
     n = r - p
-    mid = (mu_bar * schur.h3 + schur.h0)[:, :n] - state.y.yi[:, :, :n] - zs.yi[:, :, :n]
+    mid_t = (mu_bar * schur.h3 + schur.h0)[:, :n].T - state.y.yi[:, :n, :] - zs.yi[:, :n, :]
     s = np.zeros((p, p))
-    s[:, :n] = (schur.h1.transpose(0, 2, 1) @ mid).sum(axis=0)
+    s[:, :n] = (schur.h1.transpose(0, 2, 1) @ mid_t.transpose(0, 2, 1)).sum(axis=0)
     t0 = -state.y.y0 - zs.y0 + s + s.T
     # vec stacks columns, so both reshapes are column-major
     w_vec = -kernels.spd_solve(schur.wsolve_inv, t0.reshape(-1, order="F"))
@@ -259,37 +286,38 @@ def update_w(
 
 
 def update_z(state: SolverState, config: SolverConfig, h: ConsensusVector) -> ConsensusVector:
-    """Multiplier step along the primal residual; expects primals advanced.
+    """Multiplier step along the primal residual, in the state's Z row;
+    expects primals advanced, and returns Z.
 
     h is the consensus map at the state's (W, mu). Y, h and Z have exactly
     symmetric blocks, so the step has too and is not re-symmetrized.
     """
-    z = state.z.like(np.multiply(config.tau * config.sigma, state.y.flat - h.flat))
-    z.flat += state.z.flat
-    return z
+    step = np.subtract(state.y.flat, h.flat, out=state.step.flat)
+    step *= config.tau * config.sigma
+    state.z.flat += step
+    return state.z
 
 
 def residuals(
-    state: SolverState,
-    schur: SchurData,
-    h: ConsensusVector,
-    proj_y0: np.ndarray,
-    proj_yi: np.ndarray,
+    state: SolverState, schur: SchurData, proj_y0: np.ndarray, proj_yi: np.ndarray
 ) -> tuple[float, float, float, float, float]:
     """Relative KKT residuals (err_W, err_mu, err_Y, err_eq) and their max.
 
-    h is the consensus map at the state's (W, mu); proj_y0 and proj_yi are
-    the projections of the p x p block and of the vertex blocks of Y - Z.
-    Raises NumericalError when an iterate or a residual is not finite.
+    state.h must hold the consensus map at the state's (W, mu); proj_y0 and
+    proj_yi are the projections of the p x p block and of the vertex blocks
+    of Y - Z. Y - h and Y - Pi(Y - Z) are written into their rows, and the
+    norms of Y, Z, h and those two rows come from one np.vecdot over the
+    workspace. Raises NumericalError when an iterate or a residual is not
+    finite.
 
     The gradient of vertex i, h1_i^T Z_i h2^T + h2 Z_i h1_i, is Q_i in the
     first n columns plus Q_i^T in the first n rows, Q_i = h1_i^T Z_i[:, :n]:
-    h2 = [I_n 0] and Z_i is exactly symmetric.
+    h2 = [I_n 0]. Z_i is exactly symmetric, so Q_i reads Z_i[:n, :]^T.
     """
     y, z = state.y, state.z
     N, r, p = schur.h1.shape
     n = r - p
-    q = schur.h1.transpose(0, 2, 1) @ z.yi[:, :, :n]
+    q = schur.h1.transpose(0, 2, 1) @ z.yi[:, :n, :].transpose(0, 2, 1)
     per_vertex = np.zeros((N, p, p))
     per_vertex[:, :, :n] = q
     per_vertex[:, :n, :] += q.transpose(0, 2, 1)
@@ -300,17 +328,16 @@ def residuals(
 
     err_mu = abs(1.0 + z.ylast + float(np.einsum("irs,rs->", z.yi, schur.h3))) / 2.0
 
-    # Y - Pi(Y - Z)
-    gap = y.like(np.empty_like(y.flat))
+    gap = state.gap
     np.subtract(y.y0, proj_y0, out=gap.y0)
     np.subtract(y.yi, proj_yi, out=gap.yi)
     gap.flat[-1] = y.ylast - kernels.project_nonneg(y.ylast - z.ylast)
-    norm_y = y.norm()
-    norm_z = z.norm()
-    err_y = gap.norm() / (1.0 + norm_y + norm_z)
-
-    norm_h = h.norm()
-    err_eq = _norm(y.flat - h.flat) / (1.0 + norm_y + norm_h)
+    np.subtract(y.flat, state.h.flat, out=state.eq.flat)
+    # rows Y, Z, h, Y - h, Y - Pi(Y - Z)
+    rows = state.rows[:5]
+    norm_y, norm_z, norm_h, norm_eq, norm_gap = np.sqrt(np.vecdot(rows, rows)).tolist()
+    err_y = norm_gap / (1.0 + norm_y + norm_z)
+    err_eq = norm_eq / (1.0 + norm_y + norm_h)
 
     # an overflowed norm turns a residual into 0 or nan, so test the norms too
     if not all(map(math.isfinite, (norm_y, norm_z, norm_h, err_w, err_mu, err_y, err_eq))):
@@ -347,31 +374,36 @@ def extract_gain(w: np.ndarray, n: int, m: int) -> np.ndarray:
 _BREAKDOWNS = (np.linalg.LinAlgError, InvalidInputError, NumericalError, SingularSystemError)
 
 
+def _write_hmap(state: SolverState, schur: SchurData, lin: np.ndarray) -> None:
+    """Write the consensus map (W, all vertex constraint blocks, mu) at the
+    state's (W, mu) into state.h; lin is eval_lin_all(schur, state.w)."""
+    h = state.h
+    h.y0[...] = state.w
+    h.yi[...] = eval_g_all(schur, lin, state.mu)
+    h.flat[-1] = state.mu
+
+
 def _record(
-    state: SolverState,
-    schur: SchurData,
-    h: ConsensusVector,
-    zs: ConsensusVector,
-    pairs: tuple[np.ndarray, np.ndarray],
-    k: int,
+    state: SolverState, schur: SchurData, stacks: tuple[np.ndarray, ...], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append history row k; return the next Y step's projections of
     W - Z0/sigma and of G - Z/sigma.
 
-    pairs are the (2, p, p) and (2N, r, r) buffers that hold the blocks of
-    Y - Z in their first half and the targets in their second; each is
+    stacks are the (2, p, p) and (2N, r, r) pairs that get the blocks of
+    Y - Z in their first half and the targets in their second, and the
+    (2N, r, r) buffer the vertex pair is projected into. Each pair is
     projected in one call, and a breakdown raises before row k is appended.
     """
-    y, z = state.y, state.z
-    pair0, pairi = pairs
+    y, z, zs = state.y, state.z, state.zs
+    pair0, pairi, out = stacks
     n = len(y.yi)
     np.subtract(y.y0, z.y0, out=pair0[0])
     np.subtract(state.w, zs.y0, out=pair0[1])
     np.subtract(y.yi, z.yi, out=pairi[:n])
-    np.subtract(h.yi, zs.yi, out=pairi[n:])
+    np.subtract(state.h.yi, zs.yi, out=pairi[n:])
     proj0 = kernels.project_psd(pair0)
-    proji = kernels.project_psd_stack(pairi)
-    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, h, proj0[0], proji[:n])
+    proji = kernels.project_psd_stack(pairi, out=out)
+    err_w, err_mu, err_y, err_eq, err = residuals(state, schur, proj0[0], proji[:n])
     state.k = k
     state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu))
     return proj0[1], proji[n:]
@@ -390,23 +422,24 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
     """
     state = init(schur)
     status = MAX_ITERS
-    pairs = (np.empty((2, schur.p, schur.p)), np.empty((2 * schur.N, schur.r, schur.r)))
+    zs = state.zs
+    stacks = (np.empty((2, schur.p, schur.p)), *np.empty((2, 2 * schur.N, schur.r, schur.r)))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             lin = eval_lin_all(schur, state.w)
-            zs = state.z.like(state.z.flat / config.sigma)
-            h = apply_hmap(schur, state.w, state.mu, lin)
-            y0_next, yi_next = _record(state, schur, h, zs, pairs, 0)
+            np.divide(state.z.flat, config.sigma, out=zs.flat)
+            _write_hmap(state, schur, lin)
+            y0_next, yi_next = _record(state, schur, stacks, 0)
             for k in range(1, config.max_iters + 1):
                 state.y = update_y(state, zs, y0_next, yi_next)
                 mu_bar = backward_mu(state, schur, config, lin, zs)
                 state.w = update_w(state, schur, mu_bar, zs)
                 lin = eval_lin_all(schur, state.w)
                 state.mu = forward_mu(state, schur, config, lin, zs)
-                h = apply_hmap(schur, state.w, state.mu, lin)
-                state.z = update_z(state, config, h)
-                zs = state.z.like(state.z.flat / config.sigma)
-                y0_next, yi_next = _record(state, schur, h, zs, pairs, k)
+                _write_hmap(state, schur, lin)
+                state.z = update_z(state, config, state.h)
+                np.divide(state.z.flat, config.sigma, out=zs.flat)
+                y0_next, yi_next = _record(state, schur, stacks, k)
                 if state.history[-1].err < config.eps:
                     status = CONVERGED
                     break

@@ -9,7 +9,9 @@ padded extended system and per-vertex enumeration loop that the vertex
 stacks replaced, the per-vertex norm check as it was before it called the
 LAPACK gufuncs directly, and the one-call forms of the solver's steps: each
 rebuilds from the state the shared inputs that solve computes once per
-iteration and passes them on.
+iteration (the consensus map among them, as a new vector) and passes them
+on, and a step that writes into the state's workspace runs on a copy of
+the state.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 
 from hinfgcc import kernels, solver, verify
 from hinfgcc.errors import NumericalError
-from hinfgcc.problem import eval_lin_all, w_operator
+from hinfgcc.problem import eval_g_all, eval_lin_all, w_operator
 
 
 # --- program maps --------------------------------------------------------------
@@ -118,7 +120,7 @@ def lagrangian(schur, cfg, y, w, mu, z):
     updates.
     """
     sigma = cfg.sigma
-    h = solver.apply_hmap(schur, w, mu, eval_lin_all(schur, w))
+    h = apply_hmap(schur, w, mu)
     shifted = y.flat - h.flat + z.flat / sigma
     return -mu + 0.5 * sigma * float(shifted @ shifted) - float(z.flat @ z.flat) / (2.0 * sigma)
 
@@ -321,9 +323,20 @@ def hinf_sweep(cl, fmin=verify.DEFAULT_FMIN, fmax=verify.DEFAULT_FMAX, npts=veri
 # --- one-call forms of the solver's steps ------------------------------------------
 
 
+def apply_hmap(schur, w, mu):
+    """The consensus map (W, all vertex constraint blocks, mu) as a new vector."""
+    return solver.ConsensusVector(w, eval_g_all(schur, eval_lin_all(schur, w), mu), mu)
+
+
 def consensus_map(schur, state):
     """The consensus map h at the state's (W, mu)."""
-    return solver.apply_hmap(schur, state.w, state.mu, eval_lin_all(schur, state.w))
+    return apply_hmap(schur, state.w, state.mu)
+
+
+def _copy(state):
+    """A state with the same iterate and a workspace of its own, for a step
+    to write into, so that the caller's state keeps its pre-step values."""
+    return solver.SolverState(w=state.w, mu=state.mu, y=state.y, z=state.z)
 
 
 def _z_over_sigma(state, cfg):
@@ -335,7 +348,7 @@ def update_y(state, schur, cfg):
     zs = _z_over_sigma(state, cfg)
     target = consensus_map(schur, state).yi - zs.yi
     return solver.update_y(
-        state, zs, kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
+        _copy(state), zs, kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
     )
 
 
@@ -356,11 +369,13 @@ def forward_mu(state, schur, cfg, w_new):
 
 def update_z(state, schur, cfg):
     """solver.update_z with the consensus map evaluated at the state."""
-    return solver.update_z(state, cfg, consensus_map(schur, state))
+    return solver.update_z(_copy(state), cfg, consensus_map(schur, state))
 
 
 def residuals(state, schur):
     """solver.residuals with its shared inputs rebuilt from the state."""
+    st = _copy(state)
+    st.h.flat[...] = consensus_map(schur, state).flat
     proj_y0 = kernels.project_psd(state.y.y0 - state.z.y0)
     proj_yi = kernels.project_psd_stack(state.y.yi - state.z.yi)
-    return solver.residuals(state, schur, consensus_map(schur, state), proj_y0, proj_yi)
+    return solver.residuals(st, schur, proj_y0, proj_yi)

@@ -181,6 +181,18 @@ class TestProjectPsdStack:
         kernels.project_psd_stack(stack)
         assert stack.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize(
+        "kinds", [KINDS * 2, ("pd",) * 4, ("indefinite",) * 4], ids=["mixed", "all_pd", "all_indefinite"]
+    )
+    def test_out_gets_the_projection(self, kinds):
+        rng = np.random.default_rng(29)
+        stack = np.stack([_block(rng, kind) for kind in kinds])
+        before = stack.copy()
+        out = np.full_like(stack, np.nan)
+        assert kernels.project_psd_stack(stack, out=out) is out
+        assert out.tobytes() == kernels.project_psd_stack(stack).tobytes()
+        assert stack.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
         stack = np.stack([np.eye(3), -np.eye(3)])
@@ -273,6 +285,21 @@ class TestGufuncContracts:
             assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
         with pytest.raises(np.linalg.LinAlgError):
             kernels._eigh(np.full((2, 3, 3), np.nan))
+
+
+class TestVecdotContract:
+    """solver.residuals takes the norms of five workspace rows from one
+    np.vecdot; its history rows stay those of one `v @ v` per vector only
+    while the two round alike."""
+
+    @pytest.mark.parametrize("length", [1, 66, 9_233, 37_000])
+    def test_vecdot_over_rows_is_bitwise_the_row_dots(self, length):
+        rng = np.random.default_rng(28)
+        scales = 10.0 ** np.arange(-10, 11)
+        rows = rng.standard_normal((scales.size, length)) * scales[:, None]
+        assert rows.flags.c_contiguous
+        got = np.vecdot(rows, rows)
+        assert got.tobytes() == np.array([float(v @ v) for v in rows]).tobytes()
 
 
 class TestResponseGains:
