@@ -49,10 +49,11 @@ from .solver import (
 from .verify import (
     ClosedLoop,
     FeasibilityReport,
-    SweepResult,
+    HinfNorm,
     certified_attenuation,
     check_feasibility,
     closed_loop,
+    gain_curve,
     hinf_sweep,
     impulse_response,
     stability_margin,
@@ -72,6 +73,7 @@ __all__ = [
     "ExtractionError",
     "FeasibilityReport",
     "HinfgccError",
+    "HinfNorm",
     "InvalidInputError",
     "MAX_ITERS",
     "NotPsdError",
@@ -85,7 +87,6 @@ __all__ = [
     "Solution",
     "SolverConfig",
     "SolverState",
-    "SweepResult",
     "UncertaintySpec",
     "VertexSet",
     "build_extended",
@@ -96,6 +97,7 @@ __all__ = [
     "enumerate_vertices",
     "eval_theta1",
     "extract_gain",
+    "gain_curve",
     "hinf_sweep",
     "impulse_response",
     "solve",

@@ -2,36 +2,32 @@
 
 Everything here works from the closed-loop matrices and the original
 problem data only, so it cross-checks the solver rather than trusting it:
-spectral stability margins, the H-infinity norm of each closed loop,
-vertexwise feasibility of a candidate (W, mu) pair, and impulse-response
-simulation.
+spectral stability margins, the H-infinity norm of each Hurwitz closed
+loop, vertexwise feasibility of a candidate (W, mu) pair, and impulse-
+response simulation.
 
-The norm comes from the Hamiltonian level-set iteration, not from a
-frequency grid, so it cannot miss a narrow resonance or a peak at DC: the
-reported peak is a gain attained at `peak_frequency` (0 for a DC peak) and
-the norm exceeds it by at most a factor 1 + 2 NORM_RTOL. The log-spaced
-frequency curve of a sweep is evaluated only when it is read, which only
-the `sweep` command's CSV and the tests do.
+The norm (hinf_sweep) comes from the Hamiltonian level-set iteration, not
+from a frequency grid, so it cannot miss a narrow resonance or a peak at
+DC: the reported peak is a gain attained at `peak_frequency` (0 for a DC
+peak) and the norm exceeds it by at most a factor 1 + 2 NORM_RTOL. It is
+defined for Hurwitz loops only. gain_curve evaluates the response gain at
+frequencies the caller chooses, for any loop: the norm iteration reads it
+at its trial points, and the `sweep` command on its log grid.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, NumericalError, SingularSystemError
+from .errors import DimensionError, InvalidInputError, NumericalError, SingularSystemError
 from .model import PlantModel
 from .problem import ExtendedMatrices, eval_theta1
-
-# Default frequency grid: log-spaced over [1e-3, 1e4] rad/s.
-DEFAULT_FMIN = 1e-3
-DEFAULT_FMAX = 1e4
-DEFAULT_NPTS = 2000
 
 # hinf_sweep's norm of a Hurwitz loop is an attained gain `peak` with
 # peak <= norm <= (1 + 2 NORM_RTOL) peak.
@@ -61,7 +57,7 @@ class ClosedLoop:
 
     @cached_property
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A_c, computed once for the margin and the sweep."""
+        """Eigenvalues of A_c, computed once for the margin and the norm."""
         return kernels.eig_general(self.ac)
 
 
@@ -86,35 +82,19 @@ def stability_margin(cl: ClosedLoop) -> float:
     return float(cl.poles.real.max())
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Peak gain of one closed loop and, on demand, its frequency curve.
-
-    For a Hurwitz loop `peak` is the H-infinity norm to NORM_RTOL and the
-    curve over the log-spaced grid (fmin, fmax, npts) is evaluated only when
-    `frequencies` or `sigma_max` is first read. For any other loop the curve
-    is evaluated by hinf_sweep itself and `peak` is its maximum.
-    """
+class HinfNorm(NamedTuple):
+    """H-infinity norm of a Hurwitz closed loop: a gain `peak` attained at
+    `peak_frequency` (0 for a peak at DC), with
+    peak <= norm <= (1 + 2 NORM_RTOL) peak."""
 
     peak: float
     peak_frequency: float
-    cl: ClosedLoop = field(repr=False)
-    fmin: float
-    fmax: float
-    npts: int
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        return np.logspace(math.log10(self.fmin), math.log10(self.fmax), self.npts)
-
-    @cached_property
-    def sigma_max(self) -> np.ndarray:
-        return _gain_grid(self.cl, self.frequencies)
 
 
-def _gain_grid(cl: ClosedLoop, omegas: np.ndarray) -> np.ndarray:
-    """Response gain at each frequency; singular points (only possible for a
-    marginally stable or unstable loop) come back as NaN."""
+def gain_curve(cl: ClosedLoop, omegas: np.ndarray) -> np.ndarray:
+    """Largest singular value of the disturbance-to-output response at each
+    frequency in `omegas`; singular points (only possible for a marginally
+    stable or unstable loop) come back as NaN."""
     try:
         return kernels.response_gains(cl.ac, cl.b1, cl.cc, omegas)
     except np.linalg.LinAlgError:
@@ -127,24 +107,36 @@ def _gain_grid(cl: ClosedLoop, omegas: np.ndarray) -> np.ndarray:
         return out
 
 
-def _hinf_norm(cl: ClosedLoop) -> tuple[float, float]:
-    """Level-set iteration for a Hurwitz loop: (attained peak, its frequency).
+def hinf_sweep(cl: ClosedLoop) -> HinfNorm:
+    """H-infinity norm of a Hurwitz closed loop by the Hamiltonian level-set
+    iteration (Boyd-Balakrishnan; Bruinsma-Steinbuch, Syst. Control Lett.
+    1990).
 
     gamma is a singular value of G(jw) exactly when jw is an eigenvalue of
-    the Hamiltonian [[A, B B^T / gamma^2], [-C^T C, -A^T]]. Each pass puts
-    the level just above the best attained gain, reads the frequencies where
-    the response crosses it and evaluates the gain at the midpoints between
+    the Hamiltonian [[A, B B^T / gamma^2], [-C^T C, -A^T]]. Starting from
+    the gains at DC and at the pole frequencies, each pass puts the level
+    just above the best attained gain, reads the frequencies where the
+    response crosses it and evaluates the gain at the midpoints between
     them, each interval between crossings lying wholly above or below the
     level. It stops when no crossing is left or none of them raises the gain.
+
+    A loop that is not asymptotically stable has no H-infinity norm and
+    raises InvalidInputError; the poles are read from `cl.poles`. Raises
+    NumericalError when the iteration does not converge or the peak is
+    beyond the float range of gamma^2.
     """
-    # peaks sit at DC or near the pole frequencies
     poles = cl.poles
+    if not poles.real.max() < 0:
+        raise InvalidInputError(
+            "closed loop is not asymptotically stable; it has no H-infinity norm"
+        )
+    # peaks sit at DC or near the pole frequencies
     trial = np.concatenate(([0.0], np.abs(poles), np.abs(poles.imag)))
-    gains = _gain_grid(cl, trial)
+    gains = gain_curve(cl, trial)
     k = int(gains.argmax())
     best, best_freq = float(gains[k]), float(trial[k])
     if best == 0.0:
-        return 0.0, 0.0
+        return HinfNorm(0.0, 0.0)
     ac, b1, cc = cl.ac, cl.b1, cl.cc
     n = ac.shape[0]
     # only the B B^T / gamma^2 block changes from pass to pass; a block that
@@ -170,66 +162,16 @@ def _hinf_norm(cl: ClosedLoop) -> tuple[float, float]:
         on_axis = np.abs(eig.real) < _IMAG_AXIS_TOL * np.abs(ham).max()
         crossings = np.sort(eig.imag[on_axis])
         if crossings.size == 0:
-            return best, best_freq
+            return HinfNorm(best, best_freq)
         mids = np.abs(0.5 * (crossings[:-1] + crossings[1:]) if crossings.size > 1 else crossings)
-        gains = _gain_grid(cl, mids)
+        gains = gain_curve(cl, mids)
         k = int(gains.argmax())
         if not gains[k] > best:
-            return best, best_freq
+            return HinfNorm(best, best_freq)
         best, best_freq = float(gains[k]), float(mids[k])
     raise NumericalError(
         f"H-infinity level-set iteration did not converge in {_MAX_LEVEL_PASSES} passes"
     )
-
-
-def hinf_sweep(
-    cl: ClosedLoop,
-    fmin: float = DEFAULT_FMIN,
-    fmax: float = DEFAULT_FMAX,
-    npts: int = DEFAULT_NPTS,
-) -> SweepResult:
-    """Peak of the largest singular value of the disturbance-to-output
-    response over frequency.
-
-    For a Hurwitz closed loop the peak is the H-infinity norm, computed by
-    the Hamiltonian level-set iteration (Boyd-Balakrishnan; Bruinsma-
-    Steinbuch, Syst. Control Lett. 1990): `peak` is a gain attained at
-    `peak_frequency` (which may be 0, a peak at DC) and the norm lies in
-    [peak, (1 + 2 NORM_RTOL) peak]. The log-spaced grid over [fmin, fmax]
-    is not used for the norm; it is evaluated only when the curve
-    (`frequencies`, `sigma_max`) is read. Raises NumericalError when the
-    iteration does not converge.
-
-    An unstable or marginal loop has no H-infinity norm: a warning is
-    emitted, the grid is evaluated at once (points where the pencil is
-    singular are dropped with a warning) and the peak is the grid maximum.
-    """
-    if not (0 < fmin < fmax < math.inf) or npts < 2:
-        raise DimensionError("need 0 < fmin < fmax < inf and npts >= 2")
-    if cl.poles.real.max() < 0:
-        peak, peak_freq = _hinf_norm(cl)
-        return SweepResult(peak, peak_freq, cl, fmin, fmax, npts)
-
-    warnings.warn(
-        "closed loop is not asymptotically stable; sweep peak is not an "
-        "H-infinity norm",
-        stacklevel=2,
-    )
-    omegas = np.logspace(math.log10(fmin), math.log10(fmax), npts)
-    values = _gain_grid(cl, omegas)
-    singular = ~np.isfinite(values)
-    if singular.any():
-        warnings.warn(
-            f"skipped {int(singular.sum())} frequencies where the pencil is singular",
-            stacklevel=2,
-        )
-        omegas = omegas[~singular]
-        values = values[~singular]
-    imax = int(values.argmax())
-    result = SweepResult(float(values[imax]), float(omegas[imax]), cl, fmin, fmax, npts)
-    # hand the curve already built to the cached properties
-    result.__dict__.update(frequencies=omegas, sigma_max=values)
-    return result
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ the state.
 """
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -301,23 +300,11 @@ def hinf_norm(cl, poles):
     raise NumericalError("H-infinity level-set iteration did not converge")
 
 
-def hinf_sweep(cl, fmin=verify.DEFAULT_FMIN, fmax=verify.DEFAULT_FMAX, npts=verify.DEFAULT_NPTS):
-    """(peak, peak_frequency) of a closed loop: the H-infinity norm of a
-    Hurwitz loop, the grid maximum otherwise (with hinf_sweep's warnings)."""
+def hinf_sweep(cl):
+    """(peak, peak_frequency) of a Hurwitz closed loop: its H-infinity norm."""
     poles = np.linalg.eigvals(cl.ac)
-    if poles.real.max() < 0:
-        return hinf_norm(cl, poles)
-    warnings.warn("closed loop is not asymptotically stable; sweep peak is not an "
-                  "H-infinity norm")
-    omegas = np.logspace(math.log10(fmin), math.log10(fmax), npts)
-    values = gain_grid(cl, omegas)
-    singular = ~np.isfinite(values)
-    if singular.any():
-        warnings.warn(f"skipped {int(singular.sum())} frequencies where the pencil is singular")
-        omegas = omegas[~singular]
-        values = values[~singular]
-    imax = int(values.argmax())
-    return float(values[imax]), float(omegas[imax])
+    assert poles.real.max() < 0, "a loop that is not Hurwitz has no H-infinity norm"
+    return hinf_norm(cl, poles)
 
 
 # --- one-call forms of the solver's steps ------------------------------------------

@@ -186,9 +186,7 @@ class TestCriterion2UncertainExample:
         sol = example2_tight_solution
         _, gamma_c = hg.certified_attenuation(example2.ext, sol.W_star)
         peaks = [
-            hg.hinf_sweep(
-                hg.closed_loop(example2.plant, example2.vset[i], sol.K_star, i), npts=400
-            ).peak
+            hg.hinf_sweep(hg.closed_loop(example2.plant, example2.vset[i], sol.K_star, i)).peak
             for i in range(256)
         ]
         ok = max(peaks) <= gamma_c * 1.01

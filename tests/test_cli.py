@@ -33,6 +33,17 @@ TOY_PROBLEM = {
 }
 
 
+# A = [[0, 1], [-1, 0]] with K = 0: a marginal loop whose pencil is singular
+# at omega = 1
+ROTATION_PROBLEM = {
+    "A": [[0.0, 1.0], [-1.0, 0.0]],
+    "B1": [[1.0, 0.0], [0.0, 1.0]],
+    "B2": [[1.0], [0.0]],
+    "C": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+    "D": [[0.0], [0.0], [1.0]],
+}
+
+
 @pytest.fixture()
 def toy_file(tmp_path):
     return write_json(tmp_path / "toy.json", TOY_PROBLEM)
@@ -418,6 +429,26 @@ class TestSimulateCommand:
         assert cli.main(["simulate", toy_file, gain, "--vertex", "5"]) == 2
 
 
+def sweep_in_shell(cwd, problem, gain, *flags):
+    """`hinfgcc sweep` in a fresh process, as from the shell, so that any
+    warning reaches stderr; returns the process and the CSV path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hinfgcc.__file__)))
+    out = cwd / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hinfgcc.cli", "sweep", problem, gain, *flags, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), cwd=cwd, capture_output=True, text=True,
+    )
+    return proc, out
+
+
+def read_sweep_csv(path):
+    """The sweep CSV's header fields and its (omega, sigma_max, dB) rows."""
+    lines = path.read_text().splitlines()
+    header = dict(item.split("=") for item in lines[0].lstrip("# ").split(","))
+    rows = np.array([list(map(float, ln.split(","))) for ln in lines[2:]])
+    return {k: float(v) for k, v in header.items()}, rows
+
+
 class TestSweepCommand:
     def test_aircraft_peak_in_header(self, in_tmp):
         problem = hinfgcc.fixture_path("example1.json")
@@ -463,6 +494,74 @@ class TestSweepCommand:
         np.testing.assert_allclose(rows[:, 1], 1 / np.sqrt(1 + rows[:, 0] ** 2), rtol=1e-9)
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-5)
 
+    def test_unstable_loop_peak_is_the_grid_maximum(self, toy_file, tmp_path):
+        # toy plant at K = -2: A_c = +1
+        gain = write_json(tmp_path / "km2.json", {"K": [[-2.0]]})
+        proc, out = sweep_in_shell(tmp_path, toy_file, gain)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "not asymptotically stable" in proc.stderr
+        header, rows = read_sweep_csv(out)
+        k = int(rows[:, 1].argmax())
+        assert header["peak_sigma_max"] == rows[k, 1]
+        assert header["peak_omega_rad_s"] == rows[k, 0]
+
+    def test_singular_grid_point_skipped_with_warning(self, tmp_path):
+        # the grid's first point is omega = 1, where the pencil is singular
+        problem = write_json(tmp_path / "rot.json", ROTATION_PROBLEM)
+        gain = write_json(tmp_path / "k0.json", {"K": [[0.0, 0.0]]})
+        proc, out = sweep_in_shell(
+            tmp_path, problem, gain, "--fmin", "1", "--fmax", "100", "--npts", "64"
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "not asymptotically stable" in proc.stderr
+        assert "skipped 1 frequencies where the pencil is singular" in proc.stderr
+        _, rows = read_sweep_csv(out)
+        assert rows.shape == (63, 3) and np.isfinite(rows).all()
+
+    def test_grid_of_singular_points_exits_2(self, tmp_path, in_tmp, capsys):
+        # rotations at 1 and 10 rad/s: the pencil is singular at both points
+        a = np.zeros((4, 4))
+        a[0, 1], a[1, 0], a[2, 3], a[3, 2] = 1.0, -1.0, 10.0, -10.0
+        problem = write_json(tmp_path / "rot2.json", {
+            "A": a.tolist(), "B1": np.eye(4).tolist(), "B2": [[1.0], [0.0], [0.0], [0.0]],
+            "C": np.vstack([np.eye(4), np.zeros((1, 4))]).tolist(),
+            "D": [[0.0], [0.0], [0.0], [0.0], [1.0]],
+        })
+        gain = write_json(tmp_path / "k0.json", {"K": [[0.0, 0.0, 0.0, 0.0]]})
+        out = in_tmp / "s.csv"
+        argv = ["sweep", problem, gain, "--fmin", "1", "--fmax", "10", "--npts", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "singular at every frequency" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--fmin", "1", "--fmax", "0.1"], id="fmax-below-fmin"),
+        pytest.param(["--npts", "1"], id="one-point"),
+    ])
+    def test_bad_grid_rejected(self, toy_file, in_tmp, capsys, flags):
+        gain = write_json(in_tmp / "k1.json", {"K": [[1.0]]})
+        out = in_tmp / "s.csv"
+        assert cli.main(["sweep", toy_file, gain, *flags, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("npts", [10**12, None], ids=["1e12", "cap+1"])
+    def test_npts_over_cap_exits_2_before_any_work(self, toy_file, in_tmp, capsys, monkeypatch, npts):
+        def no_curve(*args):
+            raise AssertionError("the curve was evaluated")
+
+        monkeypatch.setattr(cli.verify_mod, "gain_curve", no_curve)
+        npts = cli.MAX_SWEEP_POINTS + 1 if npts is None else npts
+        gain = write_json(in_tmp / "k1.json", {"K": [[1.0]]})
+        out = in_tmp / "s.csv"
+        assert cli.main(["sweep", toy_file, gain, "--npts", str(npts), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestNonFiniteInput:
     """A non-finite number on the command line or in the solver settings
@@ -476,6 +575,8 @@ class TestNonFiniteInput:
         pytest.param(["simulate", "{problem}", "{gain}", "--horizon", "1e10", "--dt", "1e-300"], None,
                      id="steps-overflow"),
         pytest.param(["sweep", "{problem}", "{gain}", "--fmax", "inf"], None, id="fmax-inf"),
+        pytest.param(["sweep", "{problem}", "{gain}", "--fmin", "nan"], None, id="fmin-nan"),
+        pytest.param(["sweep", "{problem}", "{gain}", "--fmax", "nan"], None, id="fmax-nan"),
         pytest.param(["verify", "{problem}", "{gain}", "--tol", "nan"], None, id="verify-tol-nan"),
         pytest.param(["solve", "{problem}", "--eps", "inf"], None, id="eps-inf"),
         pytest.param(["solve", "{problem}", "--tol", "inf"], None, id="solve-tol-inf"),

@@ -1,5 +1,5 @@
-"""Independent certification: closed loops, margins, sweeps, feasibility,
-impulse responses."""
+"""Independent certification: closed loops, margins, H-infinity norms, gain
+curves, feasibility, impulse responses."""
 
 import math
 import warnings
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hinfgcc as hg
-from hinfgcc import kernels, verify
+from hinfgcc import cli, kernels, verify
 from hinfgcc.verify import ClosedLoop
 
 import oracles
@@ -48,6 +48,11 @@ def gain_encoding_w(rng, plant, scale):
         p = x @ x.T + 0.1 * np.eye(n)
     w1 = scale * p
     return np.block([[w1, w1 @ k.T], [k @ w1, k @ w1 @ k.T + scale * np.eye(m)]])
+
+
+def sweep_grid(npts: int = cli.SWEEP_NPTS) -> np.ndarray:
+    """The `sweep` command's default log grid, with npts points."""
+    return np.logspace(math.log10(cli.SWEEP_FMIN), math.log10(cli.SWEEP_FMAX), npts)
 
 
 def count_theta1_calls(monkeypatch):
@@ -177,48 +182,32 @@ class TestHinfSweep:
 
     def test_flat_first_order_curve(self):
         cl = ClosedLoop(-np.eye(2), np.eye(2), np.eye(2))
-        sweep = hg.hinf_sweep(cl)
-        expected = 1.0 / np.sqrt(1.0 + sweep.frequencies**2)
-        npt.assert_allclose(sweep.sigma_max, expected, rtol=1e-9)
-        assert sweep.sigma_max[0] == pytest.approx(1.0, abs=1e-5)
-        assert sweep.peak <= 1.0 + 1e-12
+        omegas = sweep_grid()
+        curve = hg.gain_curve(cl, omegas)
+        expected = 1.0 / np.sqrt(1.0 + omegas**2)
+        npt.assert_allclose(curve, expected, rtol=1e-9)
+        assert curve[0] == pytest.approx(1.0, abs=1e-5)
+        assert hg.hinf_sweep(cl).peak <= 1.0 + 1e-12
 
     def test_grid_refinement_never_loses_the_peak(self):
         plant = make_example1_plant()
         cl = hg.closed_loop(plant, (plant.A, plant.B2), PUBLISHED_EX1["K_star"])
-        coarse = hg.hinf_sweep(cl, npts=200)
-        fine = hg.hinf_sweep(cl, npts=400)
-        assert fine.peak >= coarse.peak * (1 - 1e-6)
-        assert coarse.peak >= max(coarse.sigma_max)
+        peak = hg.hinf_sweep(cl).peak
+        for npts in (200, 400, cli.SWEEP_NPTS):
+            assert peak >= max(hg.gain_curve(cl, sweep_grid(npts)))
 
-    def test_unstable_loop_warns(self):
-        cl = ClosedLoop(np.array([[1.0]]), np.eye(1), np.eye(1))
-        with pytest.warns(UserWarning, match="not asymptotically stable"):
-            hg.hinf_sweep(cl, npts=16)
-
-    def test_singular_grid_point_skipped_with_warning(self):
-        # marginal rotation: the pencil is exactly singular at omega = 1,
-        # which the grid below hits on its first point
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        cl = ClosedLoop(rot, np.eye(2), np.eye(2))
-        with pytest.warns(UserWarning) as record:
-            sweep = hg.hinf_sweep(cl, fmin=1.0, fmax=100.0, npts=64)
-        messages = [str(w.message) for w in record]
-        assert any("singular" in m for m in messages)
-        assert any("not asymptotically stable" in m for m in messages)
-        assert np.all(np.isfinite(sweep.sigma_max))
-        assert sweep.frequencies.size == 63
-
-    def test_bad_grid_rejected(self):
-        cl = ClosedLoop(-np.eye(1), np.eye(1), np.eye(1))
-        with pytest.raises(hg.DimensionError):
-            hg.hinf_sweep(cl, fmin=1.0, fmax=0.1)
-
-    @pytest.mark.parametrize("fmin, fmax", [(1.0, np.inf), (np.nan, 10.0), (1.0, np.nan)])
-    def test_non_finite_grid_rejected(self, fmin, fmax):
-        cl = ClosedLoop(-np.eye(1), np.eye(1), np.eye(1))
-        with pytest.raises(hg.DimensionError):
-            hg.hinf_sweep(cl, fmin=fmin, fmax=fmax)
+    @pytest.mark.parametrize("ac", [
+        pytest.param([[1.0]], id="unstable"),
+        pytest.param([[0.0, 1.0], [-1.0, 0.0]], id="marginal-rotation"),
+    ])
+    def test_non_hurwitz_loop_raises(self, ac):
+        n = len(ac)
+        cl = ClosedLoop(np.array(ac), np.eye(n), np.eye(n))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(hg.InvalidInputError, match="not asymptotically stable"):
+                hg.hinf_sweep(cl)
+        assert caught == []
 
 
 class TestHinfNorm:
@@ -233,7 +222,7 @@ class TestHinfNorm:
         assert sweep.peak == pytest.approx(exact, rel=1e-9)
         assert sweep.peak_frequency == pytest.approx(10.0123, rel=1e-6)
         # the default grid alone reads only the broad mode
-        assert sweep.sigma_max.max() < 51.0
+        assert hg.gain_curve(cl, sweep_grid()).max() < 51.0
 
     def test_dc_peak_of_scalar_toy(self):
         plant = make_toy_plant()
@@ -263,12 +252,6 @@ class TestHinfNorm:
             cl = hg.closed_loop(plant, (plant.A, plant.B2), [[1.0]])
         sweep = hg.hinf_sweep(cl)
         assert sigma_max_at(cl, sweep.peak_frequency) == pytest.approx(sweep.peak, rel=1e-12)
-
-    def test_curve_is_built_only_when_read(self):
-        sweep = hg.hinf_sweep(two_mode_loop(), npts=50)
-        assert "frequencies" not in vars(sweep) and "sigma_max" not in vars(sweep)
-        assert sweep.sigma_max.shape == sweep.frequencies.shape == (50,)
-        assert sweep.frequencies[0] == pytest.approx(verify.DEFAULT_FMIN)
 
     @pytest.mark.parametrize("scale", [1e100, 1e160])
     def test_gain_beyond_float_range_is_a_numerical_error(self, scale):
@@ -304,7 +287,7 @@ class TestHinfNorm:
         if hg.stability_margin(cl) >= 0:  # rounding of the shift
             return
         sweep = hg.hinf_sweep(cl)
-        assert sweep.peak >= (1 - 1e-9) * sweep.sigma_max.max()
+        assert sweep.peak >= (1 - 1e-9) * hg.gain_curve(cl, sweep_grid()).max()
         assert sigma_max_at(cl, sweep.peak_frequency) == pytest.approx(sweep.peak, rel=1e-12)
 
 
@@ -340,17 +323,20 @@ def bits(*values) -> bytes:
 
 
 def assert_bitwise_the_frozen_check(cl: ClosedLoop) -> None:
-    """Margin, peak and peak frequency, and the warnings raised, equal the
-    frozen np.linalg form of the check (tests/oracles.py) bit for bit."""
-    with warnings.catch_warnings(record=True) as old_warnings:
-        warnings.simplefilter("always", UserWarning)
-        frozen = (oracles.stability_margin(cl), *oracles.hinf_sweep(cl))
-    with warnings.catch_warnings(record=True) as new_warnings:
-        warnings.simplefilter("always", UserWarning)
-        margin = hg.stability_margin(cl)
+    """The margin equals the frozen np.linalg form of the check
+    (tests/oracles.py) bit for bit. So do the peak and peak frequency of a
+    Hurwitz loop; any other loop has no norm, and its gain curve on the
+    sweep command's default grid equals the frozen one bit for bit."""
+    margin = hg.stability_margin(cl)
+    assert bits(margin) == bits(oracles.stability_margin(cl))
+    if margin < 0:
         sweep = hg.hinf_sweep(cl)
-    assert bits(margin, sweep.peak, sweep.peak_frequency) == bits(*frozen)
-    assert [str(w.message) for w in new_warnings] == [str(w.message) for w in old_warnings]
+        assert bits(sweep.peak, sweep.peak_frequency) == bits(*oracles.hinf_sweep(cl))
+    else:
+        with pytest.raises(hg.InvalidInputError, match="not asymptotically stable"):
+            hg.hinf_sweep(cl)
+        omegas = sweep_grid()
+        assert hg.gain_curve(cl, omegas).tobytes() == oracles.gain_grid(cl, omegas).tobytes()
 
 
 class TestFrozenNormCheck:
@@ -387,7 +373,7 @@ class TestFrozenNormCheck:
         # the pencil of this marginal rotation is singular at omega = 1
         cl = ClosedLoop(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2), np.eye(2))
         omegas = np.logspace(0.0, 2.0, 64)
-        curve = verify._gain_grid(cl, omegas)
+        curve = verify.gain_curve(cl, omegas)
         assert np.isnan(curve[0]) and np.isfinite(curve[1:]).all()
         assert curve.tobytes() == oracles.gain_grid(cl, omegas).tobytes()
 
