@@ -548,6 +548,15 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_fmax_rejected(self, toy_file, in_tmp, capsys):
+        gain = write_json(in_tmp / "k1.json", {"K": [[1.0]]})
+        out = in_tmp / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", toy_file, gain, "--fmin", "1", "--fmax", "inf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("npts", [10**12, None], ids=["1e12", "cap+1"])
     def test_npts_over_cap_exits_2_before_any_work(self, toy_file, in_tmp, capsys, monkeypatch, npts):
         def no_curve(*args):
