@@ -27,6 +27,7 @@ from .errors import (
     CapacityError,
     DimensionError,
     HinfgccError,
+    InvalidInputError,
     SchemaError,
 )
 from .model import (
@@ -359,7 +360,14 @@ def cmd_verify(args) -> int:
     gain, w, mu = load_gain(args.gain, plant)
     feas = None
     if w is not None and mu is not None:
-        feas = verify_mod.check_feasibility(ext, w, mu, args.tol)
+        try:
+            feas = verify_mod.check_feasibility(ext, w, mu, args.tol)
+        except InvalidInputError as exc:
+            # the loader took W and mu finite, so the stability blocks overflowed
+            raise SchemaError(
+                "the gain file's W and mu are too large for the feasibility check: "
+                "its stability blocks overflow"
+            ) from exc
     rows = _vertex_rows(plant, vset, gain, feas)
     report = {
         "K": gain.tolist(),

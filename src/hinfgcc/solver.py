@@ -34,6 +34,11 @@ Each piece of work is done once per iteration:
     Z step is one axpy, and the norms of Y, Z, h, Y - h and Y - Pi(Y - Z)
     are one np.vecdot over five rows, which rounds as one dot product per
     row does.
+  - The history is the one thing that grows with the iteration count: each
+    iteration writes seven floats (k and the six fields of HistoryEntry)
+    into one row of a float64 array (History) that grows by a quarter when
+    full, 56 to 70 B per row; the stopping rule compares the err that
+    _record returns, so no row object is built in the loop.
 
 The per-vertex products use the structure of the operators (see
 problem.SchurData): h2 = [I_n 0], so the W step forms only the first n
@@ -57,7 +62,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -165,9 +172,74 @@ class HistoryEntry(NamedTuple):
     mu: float
 
 
+# floats per history row: k and the six fields after it
+_WIDTH = len(HistoryEntry._fields)
+
+
+def _entry(k: float, *fields: float) -> HistoryEntry:
+    return HistoryEntry(int(k), *fields)
+
+
+class History(Sequence):
+    """The rows of a run's history, kept in one float64 array.
+
+    Row i of the (capacity, 7) array holds k, err_w, err_mu, err_y, err_eq,
+    err and mu. When it is full, a new array a quarter larger takes its
+    rows, so appending is amortized O(1), and the history takes 56 B per
+    row plus at most a quarter spare, where a HistoryEntry of boxed floats
+    takes 264. Reading gives HistoryEntry rows, with k an int and the rest
+    Python floats; a slice is a list of rows, and a History equals a list
+    of the same rows.
+    """
+
+    __slots__ = ("_rows", "_n")
+
+    def __init__(self):
+        self._rows = np.empty((16, _WIDTH))
+        self._n = 0
+
+    def append(self, k: int, err_w: float, err_mu: float, err_y: float, err_eq: float,
+               err: float, mu: float) -> None:
+        if self._n == len(self._rows):
+            grown = np.empty((len(self._rows) * 5 // 4, _WIDTH))
+            grown[: self._n] = self._rows
+            self._rows = grown
+        self._rows[self._n] = (k, err_w, err_mu, err_y, err_eq, err, mu)
+        self._n += 1
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._n))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("history index out of range")
+        return _entry(*self._rows[i].tolist())
+
+    def __iter__(self):
+        # row by row, so that reading a long history builds no list of it
+        rows = self._rows
+        return (_entry(*rows[i].tolist()) for i in range(self._n))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (History, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"History({list(self)!r})"
+
+
 class SolverState:
     """Mutable iterate: primal (W, mu), consensus Y, multipliers Z, history,
     and the workspace the steps write into.
+
+    The history is a History, to which _record appends one row per
+    iteration; it is the only part of the state that grows with k.
 
     The workspace is one (7, L) array, L the length of a consensus vector,
     allocated once with the state. Its rows hold Y, Z, the consensus map h,
@@ -181,7 +253,7 @@ class SolverState:
         self.w = w
         self.mu = mu
         self.k = 0
-        self.history: list[HistoryEntry] = []
+        self.history = History()
         self.rows = np.empty((7, y.flat.size))
         self._y, self._z, self.h, self.eq, self.gap, self.zs, self.step = map(y.like, self.rows)
         self.y = y
@@ -206,13 +278,18 @@ class SolverState:
 
 @dataclass
 class Solution:
+    """Outcome of solve: W*, mu*, the gain and gamma estimate (None on a
+    numerical failure), the status, the iteration count and the history,
+    a History of iters + 1 rows (rows 0..iters) read as HistoryEntry rows.
+    """
+
     W_star: np.ndarray
     mu_star: float
     K_star: np.ndarray | None
     gamma_star: float | None
     status: str
     iters: int
-    history: list[HistoryEntry]
+    history: History
 
 
 def init(schur: SchurData) -> SolverState:
@@ -385,9 +462,10 @@ def _write_hmap(state: SolverState, schur: SchurData, lin: np.ndarray) -> None:
 
 def _record(
     state: SolverState, schur: SchurData, stacks: tuple[np.ndarray, ...], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append history row k; return the next Y step's projections of
-    W - Z0/sigma and of G - Z/sigma.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Append history row k; return its err, which the stopping rule
+    compares, and the next Y step's projections of W - Z0/sigma and of
+    G - Z/sigma.
 
     stacks are the (2, p, p) and (2N, r, r) pairs that get the blocks of
     Y - Z in their first half and the targets in their second, and the
@@ -405,8 +483,8 @@ def _record(
     proji = kernels.project_psd_stack(pairi, out=out)
     err_w, err_mu, err_y, err_eq, err = residuals(state, schur, proj0[0], proji[:n])
     state.k = k
-    state.history.append(HistoryEntry(k, err_w, err_mu, err_y, err_eq, err, state.mu))
-    return proj0[1], proji[n:]
+    state.history.append(k, err_w, err_mu, err_y, err_eq, err, state.mu)
+    return err, proj0[1], proji[n:]
 
 
 def solve(schur: SchurData, config: SolverConfig) -> Solution:
@@ -429,7 +507,7 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
             lin = eval_lin_all(schur, state.w)
             np.divide(state.z.flat, config.sigma, out=zs.flat)
             _write_hmap(state, schur, lin)
-            y0_next, yi_next = _record(state, schur, stacks, 0)
+            _, y0_next, yi_next = _record(state, schur, stacks, 0)
             for k in range(1, config.max_iters + 1):
                 state.y = update_y(state, zs, y0_next, yi_next)
                 mu_bar = backward_mu(state, schur, config, lin, zs)
@@ -439,8 +517,8 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
                 _write_hmap(state, schur, lin)
                 state.z = update_z(state, config, state.h)
                 np.divide(state.z.flat, config.sigma, out=zs.flat)
-                y0_next, yi_next = _record(state, schur, stacks, k)
-                if state.history[-1].err < config.eps:
+                err, y0_next, yi_next = _record(state, schur, stacks, k)
+                if err < config.eps:
                     status = CONVERGED
                     break
     except _BREAKDOWNS:

@@ -356,6 +356,16 @@ class TestVerifyCommand:
         gain = write_json(tmp_path / "wrong.json", {"K": [[1.0, 2.0]]})
         assert cli.main(["verify", toy_file, gain]) == 2
 
+    def test_overflowing_w_is_an_input_error(self, toy_file, tmp_path, in_tmp, capsys):
+        # the W2 D^T D W2^T term of the stability block alone is 9.0e307
+        big = 9.480751908109177e153
+        gain = write_json(tmp_path / "big.json", {"K": [[1]], "W": [[1, big], [big, 2]], "mu": 2})
+        assert cli.main(["verify", toy_file, gain]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large for the feasibility check" in err
+        assert "Traceback" not in err
+        assert not (in_tmp / "verify_report.json").exists()
+
 
 ZERO_OUTPUT_PROBLEM = dict(TOY_PROBLEM, C=[[0.0], [0.0]])
 
@@ -799,6 +809,8 @@ class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(changes=edits(GAIN_PATHS))
     @example(changes=[(("K", 0, 0), 1.3407807929942597e154)])
+    @example(changes=[(("W", 0, 1), 9.480751908109177e153), (("W", 1, 0), 9.480751908109177e153)])
+    @example(changes=[(("W", 0, 1), 9.480751908109177e153)])
     def test_gain_loader(self, tmp_path_factory, changes):
         work = tmp_path_factory.mktemp("fuzz")
         problem = write_json(work / "p.json", TOY_PROBLEM)

@@ -6,6 +6,9 @@ W* = [[1,1],[1,2]], Y* = (W*, G*, 2) with G* the constraint block at the
 optimum, and multipliers Z* = (0, 3 v v^T, 0) for v = (1,-1,-1)/sqrt(3).
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -478,6 +481,56 @@ class TestSolveToy:
             else:
                 assert sol.status == hg.NUMERICAL_FAILURE
                 assert sol.gamma_star is None or sol.mu_star <= 1e-6
+
+
+class TestHistory:
+    """Solution.history keeps its rows in one float64 buffer and reads as a
+    sequence of HistoryEntry rows."""
+
+    def test_retains_under_80_bytes_per_row(self, toy):
+        # a fixed-length run: eps is never met, so the run makes 2,001 rows;
+        # tracemalloc slows the loop about tenfold, so it is not longer
+        cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-300, max_iters=2000)
+        hg.solve(toy.schur, hg.SolverConfig(max_iters=3))  # warm numpy's caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = hg.solve(toy.schur, cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(sol.history) == 2001
+        assert retained / len(sol.history) <= 80.0
+
+    def test_sequence_contract(self, toy_solution):
+        h = toy_solution.history
+        rows = list(h)
+        n = len(h)
+        assert n == toy_solution.iters + 1 == len(rows)
+        assert [r.k for r in h] == list(range(n))
+        assert h[-1] == rows[-1] and h[-n] == rows[0] and h[np.int64(2)] == rows[2]
+        part = h[1:6:2]
+        assert type(part) is list and part == rows[1:6:2]
+        assert all(type(r) is solver.HistoryEntry for r in part)
+        assert h[::-1] == rows[::-1] and h[n:] == []
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                h[bad]
+        assert h == rows and rows == h
+        assert h != rows[:-1] and h != rows[::-1]
+        for r in h:
+            assert type(r.k) is int
+            assert all(type(v) is float for v in r[1:])
+
+    def test_stopping_rule_builds_no_row(self, toy, monkeypatch):
+        def refuse(*fields):
+            raise AssertionError("a history row was built inside the loop")
+
+        monkeypatch.setattr(solver, "_entry", refuse)
+        sol = hg.solve(toy.schur, hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6))
+        assert sol.status == hg.CONVERGED and len(sol.history) == sol.iters + 1
 
 
 class TestExtractGain:
