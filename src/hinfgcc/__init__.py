@@ -39,10 +39,8 @@ from .solver import (
     CONVERGED,
     MAX_ITERS,
     NUMERICAL_FAILURE,
-    ConsensusVector,
     Solution,
     SolverConfig,
-    SolverState,
     extract_gain,
     solve,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "AssumptionError",
     "CapacityError",
     "ClosedLoop",
-    "ConsensusVector",
     "CONVERGED",
     "DEFAULT_VERTEX_CAP",
     "DimensionError",
@@ -86,7 +83,6 @@ __all__ = [
     "SingularSystemError",
     "Solution",
     "SolverConfig",
-    "SolverState",
     "UncertaintySpec",
     "VertexSet",
     "build_extended",

@@ -181,7 +181,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
                 )
                 pairs.append((_matrix(item["A"], f"vertices[{idx}].A"),
                               _matrix(item["B2"], f"vertices[{idx}].B2")))
-            spec = UncertaintySpec.from_vertices(pairs)
+            spec = UncertaintySpec.from_vertices(pairs, cap=cap)
         else:
             spec = UncertaintySpec(cap=cap)
 

@@ -1,9 +1,13 @@
 """Dense numerical primitives with explicit contracts.
 
-Every other module routes its linear algebra through here so that numerical
-policy (symmetrization, eigenvalue clipping, factorization choices) lives in
-one place. All functions are pure, apart from filling an `out` array that
-a caller gives, and safe to call concurrently on distinct outputs.
+The ADMM loop, the problem assembly and the verifier route their linear
+algebra through here so that numerical policy (symmetrization, eigenvalue
+clipping, factorization choices) lives in one place. Two checks that run
+once per problem call np.linalg directly: model.validate_plant (eigvalsh
+of D^T D and PBH rank tests) and solver.extract_gain (cond, Cholesky test
+and solve of the state block of W). All functions are pure, apart from
+filling an `out` array that a caller gives, and safe to call concurrently
+on distinct outputs.
 
 Only numpy is used. The one linear system the solver meets, the p^2 x p^2
 W operator, is inverted once through its Cholesky factor (spd_factor), so

@@ -46,6 +46,8 @@ class PlantModel:
             raise DimensionError(f"A must be square, got {self.A.shape}")
         if self.B1.shape[0] != n:
             raise DimensionError(f"B1 must have {n} rows, got {self.B1.shape}")
+        if self.B1.shape[1] == 0:
+            raise DimensionError("B1 must have at least one column (a disturbance input)")
         if self.B2.shape[0] != n:
             raise DimensionError(f"B2 must have {n} rows, got {self.B2.shape}")
         if self.C.shape[1] != n:
@@ -142,6 +144,7 @@ class UncertaintySpec:
 
     In bounds mode each uncertain entry ranges over nominal*(1 +/- fraction);
     entries with zero nominal value stay zero regardless of the fraction.
+    Either way enumerate_vertices yields at most `cap` vertices.
     """
 
     delta_a: np.ndarray | None = None
@@ -158,13 +161,13 @@ class UncertaintySpec:
         return cls(delta_a=da, delta_b2=db, cap=cap)
 
     @classmethod
-    def from_vertices(cls, pairs) -> "UncertaintySpec":
+    def from_vertices(cls, pairs, cap: int = DEFAULT_VERTEX_CAP) -> "UncertaintySpec":
         vlist = tuple(
             (_as_matrix(a, "vertex A"), _as_matrix(b, "vertex B2")) for a, b in pairs
         )
         if not vlist:
             raise DimensionError("vertex list must contain at least one vertex")
-        return cls(vertex_list=vlist)
+        return cls(vertex_list=vlist, cap=cap)
 
     @classmethod
     def none(cls) -> "UncertaintySpec":
@@ -203,8 +206,13 @@ class VertexSet:
 
 
 def enumerate_vertices(plant: PlantModel, spec: UncertaintySpec) -> VertexSet:
-    """Enumerate the extreme systems described by an UncertaintySpec."""
+    """Enumerate the extreme systems described by an UncertaintySpec; more
+    than spec.cap of them, listed or enumerated, raise CapacityError."""
     if spec.is_explicit:
+        if len(spec.vertex_list) > spec.cap:
+            raise CapacityError(
+                f"{len(spec.vertex_list)} listed vertices exceed the cap of {spec.cap}"
+            )
         for a, b in spec.vertex_list:
             if a.shape != plant.A.shape or b.shape != plant.B2.shape:
                 raise DimensionError(

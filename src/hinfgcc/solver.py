@@ -23,21 +23,23 @@ Each piece of work is done once per iteration:
     as one stack (kernels.project_psd), the 2N vertex blocks as another, in
     which only the blocks that are not positive definite are
     eigendecomposed (kernels.project_psd_stack). The differences are
-    written into two buffers allocated once per solve, the vertex pair is
-    projected into a third, and the Y step only assembles Y from the
-    projections. A breakdown in either half of a pair ends the run at that
-    row, as every other breakdown in the loop does.
-  - Y, Z, h and Z/sigma are ConsensusVectors over the rows of one workspace
-    that the state allocates once (SolverState), with the Z step, Y - h and
-    Y - Pi(Y - Z). Every step writes into its row, so no consensus vector
-    is allocated per iteration (the constraint map's stacks still are), the
-    Z step is one axpy, and the norms of Y, Z, h, Y - h and Y - Pi(Y - Z)
-    are one np.vecdot over five rows, which rounds as one dot product per
-    row does.
-  - The history is the one thing that grows with the iteration count: each
-    iteration writes seven floats (k and the six fields of HistoryEntry)
-    into one row of a float64 array (History) that grows by a quarter when
-    full, 56 to 70 B per row; the stopping rule compares the err that
+    written into the state's two pair stacks, the vertex pair is projected
+    into a third, and the Y step only assembles Y from the projections. A
+    breakdown in either half of a pair ends the run at that row, as every
+    other breakdown in the loop does.
+  - Y, Z, h and Z/sigma are ConsensusVectors over the rows of one workspace,
+    with the Z step, Y - h and Y - Pi(Y - Z). Every step writes into its
+    row, so no consensus vector is allocated per iteration (the constraint
+    map's stacks still are), the Z step is one axpy, and the norms of Y, Z,
+    h, Y - h and Y - Pi(Y - Z) are one np.vecdot over five rows, which
+    rounds as one dot product per row does.
+  - All of a solve's memory lives in its SolverState: SolverState(schur) is
+    the all-zero start, and it allocates W, the workspace, the projection
+    stacks and the history once. The history is the one thing that grows
+    with the iteration count: each iteration writes six floats (the fields
+    of HistoryEntry after k, which is the row's index) into one row of a
+    float64 array (History) that grows by a quarter when full, 48 B per row
+    plus at most a quarter spare; the stopping rule compares the err that
     _record returns, so no row object is built in the loop.
 
 The per-vertex products use the structure of the operators (see
@@ -123,33 +125,18 @@ class SolverConfig:
 class ConsensusVector:
     """Block vector over the cone: a p x p block, N r x r blocks, a scalar.
 
-    The three parts live in one flat buffer, `flat`; y0 and yi are views of
-    it and ylast reads its last entry, so sums, steps and norms over the
-    whole vector are single operations on `flat`. There are two ways to
-    make one: the constructor copies the given blocks into a new buffer,
-    and `like` wraps a flat array of the same shape without copying it.
+    The three parts live in one flat buffer, `flat`, which the constructor
+    wraps without copying: y0 and yi are views of it and ylast reads its
+    last entry, so sums, steps and norms over the whole vector are single
+    operations on `flat`.
     """
 
     __slots__ = ("flat", "y0", "yi")
 
-    def __init__(self, y0: np.ndarray, yi: np.ndarray, ylast: float):
-        y0 = np.asarray(y0, dtype=float)
-        yi = np.asarray(yi, dtype=float)
-        self._view(np.empty(y0.size + yi.size + 1), y0.shape[0], yi.shape)
-        self.y0[...] = y0
-        self.yi[...] = yi
-        self.flat[-1] = ylast
-
-    def _view(self, flat: np.ndarray, p: int, yi_shape: tuple[int, ...]) -> None:
+    def __init__(self, flat: np.ndarray, p: int, r: int):
         self.flat = flat
         self.y0 = flat[: p * p].reshape(p, p)
-        self.yi = flat[p * p : -1].reshape(yi_shape)
-
-    def like(self, flat: np.ndarray) -> "ConsensusVector":
-        """A vector shaped as this one over `flat`, which is not copied."""
-        out = ConsensusVector.__new__(ConsensusVector)
-        out._view(flat, self.y0.shape[0], self.yi.shape)
-        return out
+        self.yi = flat[p * p : -1].reshape(-1, r, r)
 
     @property
     def ylast(self) -> float:
@@ -172,24 +159,20 @@ class HistoryEntry(NamedTuple):
     mu: float
 
 
-# floats per history row: k and the six fields after it
-_WIDTH = len(HistoryEntry._fields)
-
-
-def _entry(k: float, *fields: float) -> HistoryEntry:
-    return HistoryEntry(int(k), *fields)
+# floats per history row: the six fields after k, which is the row's index
+_WIDTH = len(HistoryEntry._fields) - 1
 
 
 class History(Sequence):
     """The rows of a run's history, kept in one float64 array.
 
-    Row i of the (capacity, 7) array holds k, err_w, err_mu, err_y, err_eq,
-    err and mu. When it is full, a new array a quarter larger takes its
-    rows, so appending is amortized O(1), and the history takes 56 B per
-    row plus at most a quarter spare, where a HistoryEntry of boxed floats
-    takes 264. Reading gives HistoryEntry rows, with k an int and the rest
-    Python floats; a slice is a list of rows, and a History equals a list
-    of the same rows.
+    Row k of the (capacity, 6) array holds err_w, err_mu, err_y, err_eq, err
+    and mu of iteration k; k itself is the row's index. When it is full, a
+    new array a quarter larger takes its rows, so appending is amortized
+    O(1), and the history takes 48 B per row plus at most a quarter spare,
+    where a HistoryEntry of boxed floats takes 264. Reading gives
+    HistoryEntry rows, with k an int and the rest Python floats; a slice is
+    a list of rows, and a History equals a list of the same rows.
     """
 
     __slots__ = ("_rows", "_n")
@@ -198,13 +181,13 @@ class History(Sequence):
         self._rows = np.empty((16, _WIDTH))
         self._n = 0
 
-    def append(self, k: int, err_w: float, err_mu: float, err_y: float, err_eq: float,
-               err: float, mu: float) -> None:
+    def append(self, err_w: float, err_mu: float, err_y: float, err_eq: float, err: float,
+               mu: float) -> None:
         if self._n == len(self._rows):
             grown = np.empty((len(self._rows) * 5 // 4, _WIDTH))
             grown[: self._n] = self._rows
             self._rows = grown
-        self._rows[self._n] = (k, err_w, err_mu, err_y, err_eq, err, mu)
+        self._rows[self._n] = (err_w, err_mu, err_y, err_eq, err, mu)
         self._n += 1
 
     def __len__(self) -> int:
@@ -218,12 +201,12 @@ class History(Sequence):
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError("history index out of range")
-        return _entry(*self._rows[i].tolist())
+        return HistoryEntry(i, *self._rows[i].tolist())
 
     def __iter__(self):
         # row by row, so that reading a long history builds no list of it
         rows = self._rows
-        return (_entry(*rows[i].tolist()) for i in range(self._n))
+        return (HistoryEntry(i, *rows[i].tolist()) for i in range(self._n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (History, list)):
@@ -235,45 +218,32 @@ class History(Sequence):
 
 
 class SolverState:
-    """Mutable iterate: primal (W, mu), consensus Y, multipliers Z, history,
-    and the workspace the steps write into.
+    """All the memory of one solve, allocated once: the iterate (W, mu, Y,
+    Z), its iteration count k, the history and the buffers the steps write
+    into. SolverState(schur) is the all-zero start the loop runs from.
 
     The history is a History, to which _record appends one row per
-    iteration; it is the only part of the state that grows with k.
-
-    The workspace is one (7, L) array, L the length of a consensus vector,
-    allocated once with the state. Its rows hold Y, Z, the consensus map h,
-    Y - h, Y - Pi(Y - Z), Z/sigma and the Z step, each seen through a
-    ConsensusVector; the first five are the vectors the residuals take
-    norms of. The constructor copies the given Y and Z into their rows, and
-    so does assigning state.y or state.z.
+    iteration; it is the only part that grows with k. The workspace is one
+    zeroed (7, L) array, L the length of a consensus vector, whose rows hold
+    Y, Z, the consensus map h, Y - h, Y - Pi(Y - Z), Z/sigma and the Z step,
+    each seen through a ConsensusVector; the residuals take norms of the
+    first five. pair0 (2, p, p) and pairi (2N, r, r) get the blocks of Y - Z
+    in their first half and the next Y step's targets in their second; the
+    vertex pair is projected into proj (2N, r, r).
     """
 
-    def __init__(self, w: np.ndarray, mu: float, y: ConsensusVector, z: ConsensusVector):
-        self.w = w
-        self.mu = mu
+    def __init__(self, schur: SchurData):
+        p, N, r = schur.p, schur.N, schur.r
+        self.w = np.zeros((p, p))
+        self.mu = 0.0
         self.k = 0
         self.history = History()
-        self.rows = np.empty((7, y.flat.size))
-        self._y, self._z, self.h, self.eq, self.gap, self.zs, self.step = map(y.like, self.rows)
-        self.y = y
-        self.z = z
-
-    @property
-    def y(self) -> ConsensusVector:
-        return self._y
-
-    @y.setter
-    def y(self, value: ConsensusVector) -> None:
-        self._y.flat[...] = value.flat  # no copy when value is the row itself
-
-    @property
-    def z(self) -> ConsensusVector:
-        return self._z
-
-    @z.setter
-    def z(self, value: ConsensusVector) -> None:
-        self._z.flat[...] = value.flat
+        self.rows = np.zeros((7, p * p + N * r * r + 1))
+        self.y, self.z, self.h, self.eq, self.gap, self.zs, self.step = (
+            ConsensusVector(row, p, r) for row in self.rows
+        )
+        self.pair0 = np.empty((2, p, p))
+        self.pairi, self.proj = np.empty((2, 2 * N, r, r))
 
 
 @dataclass
@@ -290,12 +260,6 @@ class Solution:
     status: str
     iters: int
     history: History
-
-
-def init(schur: SchurData) -> SolverState:
-    """Fresh all-zero state, the point the loop starts from."""
-    zero = ConsensusVector(np.zeros((schur.p, schur.p)), np.zeros((schur.N, schur.r, schur.r)), 0.0)
-    return SolverState(w=np.zeros((schur.p, schur.p)), mu=0.0, y=zero, z=zero)
 
 
 def update_y(
@@ -460,30 +424,28 @@ def _write_hmap(state: SolverState, schur: SchurData, lin: np.ndarray) -> None:
     h.flat[-1] = state.mu
 
 
-def _record(
-    state: SolverState, schur: SchurData, stacks: tuple[np.ndarray, ...], k: int
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _record(state: SolverState, schur: SchurData, k: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Append history row k; return its err, which the stopping rule
     compares, and the next Y step's projections of W - Z0/sigma and of
     G - Z/sigma.
 
-    stacks are the (2, p, p) and (2N, r, r) pairs that get the blocks of
-    Y - Z in their first half and the targets in their second, and the
-    (2N, r, r) buffer the vertex pair is projected into. Each pair is
-    projected in one call, and a breakdown raises before row k is appended.
+    The state's pair0 and pairi get the blocks of Y - Z in their first half
+    and the targets in their second. Each pair is projected in one call,
+    the vertex pair into state.proj, and a breakdown raises before row k is
+    appended.
     """
     y, z, zs = state.y, state.z, state.zs
-    pair0, pairi, out = stacks
+    pair0, pairi = state.pair0, state.pairi
     n = len(y.yi)
     np.subtract(y.y0, z.y0, out=pair0[0])
     np.subtract(state.w, zs.y0, out=pair0[1])
     np.subtract(y.yi, z.yi, out=pairi[:n])
     np.subtract(state.h.yi, zs.yi, out=pairi[n:])
     proj0 = kernels.project_psd(pair0)
-    proji = kernels.project_psd_stack(pairi, out=out)
+    proji = kernels.project_psd_stack(pairi, out=state.proj)
     err_w, err_mu, err_y, err_eq, err = residuals(state, schur, proj0[0], proji[:n])
     state.k = k
-    state.history.append(k, err_w, err_mu, err_y, err_eq, err, state.mu)
+    state.history.append(err_w, err_mu, err_y, err_eq, err, state.mu)
     return err, proj0[1], proji[n:]
 
 
@@ -498,26 +460,25 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
     numerical-failure. Overflow inside the loop is such a breakdown, caught
     by the finite checks rather than reported as a floating-point warning.
     """
-    state = init(schur)
+    state = SolverState(schur)
     status = MAX_ITERS
     zs = state.zs
-    stacks = (np.empty((2, schur.p, schur.p)), *np.empty((2, 2 * schur.N, schur.r, schur.r)))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             lin = eval_lin_all(schur, state.w)
             np.divide(state.z.flat, config.sigma, out=zs.flat)
             _write_hmap(state, schur, lin)
-            _, y0_next, yi_next = _record(state, schur, stacks, 0)
+            _, y0_next, yi_next = _record(state, schur, 0)
             for k in range(1, config.max_iters + 1):
-                state.y = update_y(state, zs, y0_next, yi_next)
+                update_y(state, zs, y0_next, yi_next)
                 mu_bar = backward_mu(state, schur, config, lin, zs)
                 state.w = update_w(state, schur, mu_bar, zs)
                 lin = eval_lin_all(schur, state.w)
                 state.mu = forward_mu(state, schur, config, lin, zs)
                 _write_hmap(state, schur, lin)
-                state.z = update_z(state, config, state.h)
+                update_z(state, config, state.h)
                 np.divide(state.z.flat, config.sigma, out=zs.flat)
-                err, y0_next, yi_next = _record(state, schur, stacks, k)
+                err, y0_next, yi_next = _record(state, schur, k)
                 if err < config.eps:
                     status = CONVERGED
                     break

@@ -11,7 +11,8 @@ LAPACK gufuncs directly, and the one-call forms of the solver's steps: each
 rebuilds from the state the shared inputs that solve computes once per
 iteration (the consensus map among them, as a new vector) and passes them
 on, and a step that writes into the state's workspace runs on a copy of
-the state.
+the state. make_state writes a given iterate into a fresh SolverState, for
+those copies and for the tests' own states.
 """
 
 import math
@@ -310,9 +311,22 @@ def hinf_sweep(cl):
 # --- one-call forms of the solver's steps ------------------------------------------
 
 
+def make_state(schur, w, mu, y, z):
+    """A SolverState(schur) at the iterate (W, mu, Y, Z), with Y and Z given
+    as (y0, yi, ylast) blocks and written into the state's rows."""
+    state = solver.SolverState(schur)
+    state.w, state.mu = w, mu
+    for row, (y0, yi, ylast) in ((state.y, y), (state.z, z)):
+        row.y0[...] = y0
+        row.yi[...] = yi
+        row.flat[-1] = ylast
+    return state
+
+
 def apply_hmap(schur, w, mu):
     """The consensus map (W, all vertex constraint blocks, mu) as a new vector."""
-    return solver.ConsensusVector(w, eval_g_all(schur, eval_lin_all(schur, w), mu), mu)
+    g = eval_g_all(schur, eval_lin_all(schur, w), mu)
+    return solver.ConsensusVector(np.concatenate((w.ravel(), g.ravel(), [mu])), schur.p, schur.r)
 
 
 def consensus_map(schur, state):
@@ -320,48 +334,50 @@ def consensus_map(schur, state):
     return apply_hmap(schur, state.w, state.mu)
 
 
-def _copy(state):
+def _copy(state, schur):
     """A state with the same iterate and a workspace of its own, for a step
     to write into, so that the caller's state keeps its pre-step values."""
-    return solver.SolverState(w=state.w, mu=state.mu, y=state.y, z=state.z)
+    y, z = state.y, state.z
+    return make_state(schur, state.w, state.mu, (y.y0, y.yi, y.ylast), (z.y0, z.yi, z.ylast))
 
 
-def _z_over_sigma(state, cfg):
-    return state.z.like(state.z.flat / cfg.sigma)
+def _z_over_sigma(state, schur, cfg):
+    return solver.ConsensusVector(state.z.flat / cfg.sigma, schur.p, schur.r)
 
 
 def update_y(state, schur, cfg):
     """solver.update_y with both targets projected from the state."""
-    zs = _z_over_sigma(state, cfg)
+    zs = _z_over_sigma(state, schur, cfg)
     target = consensus_map(schur, state).yi - zs.yi
-    return solver.update_y(
-        _copy(state), zs, kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
-    )
+    y0, yi = kernels.project_psd(state.w - zs.y0), kernels.project_psd_stack(target)
+    return solver.update_y(_copy(state, schur), zs, y0, yi)
 
 
 def backward_mu(state, schur, cfg):
     """solver.backward_mu at the state's W."""
-    return solver.backward_mu(state, schur, cfg, eval_lin_all(schur, state.w), _z_over_sigma(state, cfg))
+    zs = _z_over_sigma(state, schur, cfg)
+    return solver.backward_mu(state, schur, cfg, eval_lin_all(schur, state.w), zs)
 
 
 def update_w(state, schur, cfg, mu_bar):
     """solver.update_w with Z/sigma formed from the state."""
-    return solver.update_w(state, schur, mu_bar, _z_over_sigma(state, cfg))
+    return solver.update_w(state, schur, mu_bar, _z_over_sigma(state, schur, cfg))
 
 
 def forward_mu(state, schur, cfg, w_new):
     """solver.forward_mu at a new W."""
-    return solver.forward_mu(state, schur, cfg, eval_lin_all(schur, w_new), _z_over_sigma(state, cfg))
+    zs = _z_over_sigma(state, schur, cfg)
+    return solver.forward_mu(state, schur, cfg, eval_lin_all(schur, w_new), zs)
 
 
 def update_z(state, schur, cfg):
     """solver.update_z with the consensus map evaluated at the state."""
-    return solver.update_z(_copy(state), cfg, consensus_map(schur, state))
+    return solver.update_z(_copy(state, schur), cfg, consensus_map(schur, state))
 
 
 def residuals(state, schur):
     """solver.residuals with its shared inputs rebuilt from the state."""
-    st = _copy(state)
+    st = _copy(state, schur)
     st.h.flat[...] = consensus_map(schur, state).flat
     proj_y0 = kernels.project_psd(state.y.y0 - state.z.y0)
     proj_yi = kernels.project_psd_stack(state.y.yi - state.z.yi)

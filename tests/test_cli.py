@@ -370,6 +370,28 @@ class TestVerifyCommand:
 ZERO_OUTPUT_PROBLEM = dict(TOY_PROBLEM, C=[[0.0], [0.0]])
 
 
+class TestNoDisturbanceInput:
+    """A plant whose B1 has no column is a dimension error for every
+    command: exit 2 with a message, no traceback and no output file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{problem}", "{gain}"],
+        ["sweep", "{problem}", "{gain}", "--npts", "5"],
+        ["simulate", "{problem}", "{gain}"],
+        ["solve", "{problem}"],
+    ], ids=["verify", "sweep", "simulate", "solve"])
+    def test_exits_2_without_traceback(self, tmp_path, in_tmp, capsys, argv):
+        problem = write_json(tmp_path / "nob1.json", dict(TOY_PROBLEM, B1=[[]]))
+        gain = write_json(tmp_path / "k.json", {"K": [[1]]})
+        out = in_tmp / "out"
+        argv = [a.format(problem=problem, gain=gain) for a in argv] + ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "B1 must have at least one column" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["k.json", "nob1.json"]
+
+
 class TestZeroResponseLoop:
     """C = 0 with K = 0 leaves a closed loop whose response is identically 0."""
 
@@ -661,6 +683,17 @@ class TestEnumerateCommand:
             },
         )
         assert cli.main(["enumerate", problem]) == 2
+
+    def test_vertex_cap_applies_to_listed_vertices(self, tmp_path, capsys):
+        vertices = [{"A": [[a]], "B2": [[1.0]]} for a in (-1.0, -1.1, -0.9)]
+        problem = write_json(
+            tmp_path / "listed.json",
+            dict(TOY_PROBLEM, uncertainty={"vertex_cap": 2, "vertices": vertices}),
+        )
+        assert cli.main(["enumerate", problem]) == 2
+        captured = capsys.readouterr()
+        assert "N = " not in captured.out
+        assert captured.err.startswith("error:") and "cap of 2" in captured.err
 
 
 class TestMalformedFiles:

@@ -15,6 +15,12 @@ class TestPlantModel:
         with pytest.raises(hg.DimensionError):
             hg.PlantModel(A=np.eye(2), B1=np.eye(3), B2=np.eye(2), C=np.eye(2), D=np.eye(2))
 
+    @pytest.mark.parametrize("b1", [[[]], np.zeros((1, 0))], ids=["empty-row", "no-column"])
+    def test_disturbance_input_required(self, b1):
+        # a plant without a disturbance column has no H-infinity norm to bound
+        with pytest.raises(hg.DimensionError, match="B1 must have at least one column"):
+            hg.PlantModel(A=[[-1.0]], B1=b1, B2=[[1.0]], C=[[1.0], [0.0]], D=[[0.0], [1.0]])
+
     def test_dimensions_exposed(self):
         p = make_example1_plant()
         assert (p.n, p.m, p.l, p.q) == (3, 1, 3, 3)
@@ -174,6 +180,17 @@ class TestEnumerateVertices:
         vset = hg.enumerate_vertices(plant, hg.UncertaintySpec.from_vertices(pairs))
         assert vset.N == 2
         npt.assert_allclose(vset[1][0], plant.A * 1.1)
+
+    def test_explicit_vertices_cap_enforced(self):
+        plant = hg.PlantModel(A=[[-1.0]], B1=[[1.0]], B2=[[1.0]], C=[[1.0], [0.0]], D=[[0.0], [1.0]])
+        pairs = [([[-1.0 - 0.1 * i]], [[1.0]]) for i in range(3)]
+        with pytest.raises(hg.CapacityError, match="3 listed vertices exceed the cap of 2"):
+            hg.enumerate_vertices(plant, hg.UncertaintySpec.from_vertices(pairs, cap=2))
+        assert hg.enumerate_vertices(plant, hg.UncertaintySpec.from_vertices(pairs, cap=3)).N == 3
+        # the default cap holds for a list as it does for enumerated vertices
+        many = [([[-1.0]], [[1.0]])] * (hg.DEFAULT_VERTEX_CAP + 1)
+        with pytest.raises(hg.CapacityError, match=str(hg.DEFAULT_VERTEX_CAP)):
+            hg.enumerate_vertices(plant, hg.UncertaintySpec.from_vertices(many))
 
     def test_explicit_vertices_dimension_checked(self):
         plant = make_example2_plant()

@@ -27,17 +27,17 @@ def random_state(rng, built, scale=1.0):
     w = rng.standard_normal((s.p, s.p)) * scale
     w = (w + w.T) / 2
     mu = float(rng.standard_normal())
-    y = ConsensusVector(
+    y = (
         kernels.project_psd(rng.standard_normal((s.p, s.p))),
         kernels.project_psd_stack(rng.standard_normal((s.N, s.r, s.r))),
         abs(float(rng.standard_normal())),
     )
-    z = ConsensusVector(
+    z = (
         kernels.symmetrize(rng.standard_normal((s.p, s.p))),
         (lambda a: (a + a.transpose(0, 2, 1)) / 2)(rng.standard_normal((s.N, s.r, s.r))),
         float(rng.standard_normal()),
     )
-    return solver.SolverState(w=w, mu=mu, y=y, z=z)
+    return oracles.make_state(s, w, mu, y, z)
 
 
 @pytest.fixture(scope="module")
@@ -83,32 +83,38 @@ class TestSolverConfig:
 
 
 class TestConsensusVector:
-    def test_like_wraps_without_copy(self, small_problem):
-        z = solver.init(small_problem.schur).z
-        flat = np.arange(z.flat.size, dtype=float)
-        v = z.like(flat)
+    def test_constructor_wraps_without_copy(self, small_problem):
+        s = small_problem.schur
+        flat = np.arange(s.p * s.p + s.N * s.r * s.r + 1, dtype=float)
+        v = ConsensusVector(flat, s.p, s.r)
         assert v.flat is flat
         assert np.shares_memory(v.y0, flat) and np.shares_memory(v.yi, flat)
-        assert v.y0.shape == z.y0.shape and v.yi.shape == z.yi.shape
+        assert v.y0.shape == (s.p, s.p) and v.yi.shape == (s.N, s.r, s.r)
+        assert v.y0[0, 1] == 1.0 and v.yi[0, 0, 1] == s.p * s.p + 1
         assert v.ylast == flat[-1]
 
 
 class TestInit:
     def test_state_blocks_share_no_memory(self, toy):
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         assert not np.shares_memory(st.y.flat, st.z.flat)
         assert not np.shares_memory(st.w, st.y.flat) and not np.shares_memory(st.w, st.z.flat)
+        assert not np.shares_memory(st.pairi, st.proj)
 
     def test_default_start_is_zero(self, toy):
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         assert not st.w.any() and st.mu == 0.0
         assert not st.y.y0.any() and not st.y.yi.any() and st.y.ylast == 0.0
         assert not st.z.y0.any() and st.k == 0
+        assert not st.rows.any() and st.history == []
+        s = toy.schur
+        assert st.pair0.shape == (2, s.p, s.p)
+        assert st.pairi.shape == st.proj.shape == (2 * s.N, s.r, s.r)
 
 
 class TestWorkspace:
-    """Each solve writes Y, Z and h into the rows of one workspace that its
-    state allocates once."""
+    """Each solve writes Y, Z and h into the rows of one workspace, and the
+    projection pairs into stacks, that its state allocates once."""
 
     @pytest.mark.parametrize("name, config", [
         ("toy", hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)),
@@ -118,46 +124,44 @@ class TestWorkspace:
     def test_y_z_and_h_keep_their_buffers_at_every_row(self, request, monkeypatch, name, config):
         built = request.getfixturevalue(name)
         step = solver.update_z
-        seen = []
+        project_psd, project_psd_stack = kernels.project_psd, kernels.project_psd_stack
+        seen, states, pairs0, pairsi = [], [], [], []
 
         def recording(state, cfg, h):
             z = step(state, cfg, h)
             vectors = (state.y, z, h)
             assert all(np.shares_memory(v.flat, state.rows) for v in vectors)
             seen.append(tuple(v.flat.ctypes.data for v in vectors))
+            states.append(state)
             return z
 
+        def psd(stack):
+            pairs0.append(stack)
+            return project_psd(stack)
+
+        def psd_stack(stack, **kwargs):
+            pairsi.append((stack, kwargs["out"]))
+            return project_psd_stack(stack, **kwargs)
+
         monkeypatch.setattr(solver, "update_z", recording)
+        monkeypatch.setattr(kernels, "project_psd", psd)
+        monkeypatch.setattr(kernels, "project_psd_stack", psd_stack)
         sol = hg.solve(built.schur, config)
         assert sol.status == hg.CONVERGED
         assert len(seen) == sol.iters and len(set(seen)) == 1
         assert len(set(seen[0])) == 3
-
-    def test_constructor_copies_y_and_z(self):
-        y = ConsensusVector(np.eye(2), np.ones((1, 3, 3)), 1.0)
-        z = ConsensusVector(-np.eye(2), np.full((1, 3, 3), 2.0), 3.0)
-        state = solver.SolverState(w=np.zeros((2, 2)), mu=0.0, y=y, z=z)
-        y.flat[...] = 7.0
-        z.flat[...] = 7.0
-        assert state.y.y0.tobytes() == np.eye(2).tobytes() and not (state.y.yi - 1.0).any()
-        assert state.y.ylast == 1.0
-        assert state.z.y0.tobytes() == (-np.eye(2)).tobytes() and not (state.z.yi - 2.0).any()
-        assert state.z.ylast == 3.0
-
-    def test_assignment_copies_into_the_row(self, toy):
-        st = solver.init(toy.schur)
-        row = st.y.flat
-        y = ConsensusVector(np.eye(2), np.ones((1, 3, 3)), 1.0)
-        st.y = y
-        y.flat[...] = 7.0
-        assert st.y.flat is row
-        assert st.y.ylast == 1.0 and not (st.y.yi - 1.0).any()
+        # one state over the run, and rows 0..iters project into its own stacks
+        st = states[0]
+        assert all(s is st for s in states)
+        assert len(pairs0) == len(pairsi) == sol.iters + 1
+        assert all(a is st.pair0 for a in pairs0)
+        assert all(a is st.pairi and out is st.proj for a, out in pairsi)
 
 
 class TestUpdateY:
     def test_zero_state_projects_constant_block(self, toy):
         cfg = hg.SolverConfig(sigma=0.5)
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         y = oracles.update_y(st, toy.schur, cfg)
         npt.assert_allclose(y.y0, 0.0)
         # constraint block at zero is h0, which is already PSD
@@ -166,7 +170,7 @@ class TestUpdateY:
 
     def test_scalar_projection(self, toy):
         cfg = hg.SolverConfig(sigma=1.0)
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         st.mu = 1.0
         assert oracles.update_y(st, toy.schur, cfg).ylast == 1.0
         st.mu = -1.0
@@ -211,7 +215,7 @@ class TestSweepUpdates:
         # from the all-zero state the scalar update reduces to
         # 1 / (sigma * (N tr(h3^2) + 1)) because <h0, h3> = 0
         cfg = hg.SolverConfig(sigma=0.1)
-        st = solver.init(example2.schur)
+        st = solver.SolverState(example2.schur)
         st.y = oracles.update_y(st, example2.schur, cfg)
         expected = 1.0 / (cfg.sigma * (example2.schur.N * example2.schur.tr_h3_sq + 1.0))
         assert oracles.backward_mu(st, example2.schur, cfg) == pytest.approx(expected)
@@ -282,11 +286,9 @@ class TestSweepUpdates:
     def test_t0_zero_gives_w_zero(self, toy):
         # choose Y_i to cancel the constant blocks so T0 vanishes exactly
         cfg = hg.SolverConfig(sigma=1.0)
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         mu_bar = 0.37
-        st.y = ConsensusVector(
-            np.zeros((2, 2)), (mu_bar * toy.schur.h3 + toy.schur.h0)[None, :, :].copy(), 0.0
-        )
+        st.y.yi[...] = mu_bar * toy.schur.h3 + toy.schur.h0
         w = oracles.update_w(st, toy.schur, cfg, mu_bar)
         npt.assert_allclose(w, 0.0, atol=1e-14)
 
@@ -307,7 +309,7 @@ class TestUpdateZ:
         cfg = hg.SolverConfig(sigma=1.0, tau=1.0)
         rng = np.random.default_rng(8)
         st = random_state(rng, small_problem)
-        st.z = solver.init(small_problem.schur).z
+        st.z.flat[...] = 0.0
         z = oracles.update_z(st, small_problem.schur, cfg)
         h = oracles.consensus_map(small_problem.schur, st)
         npt.assert_allclose(z.y0, st.y.y0 - h.y0, atol=1e-12)
@@ -335,7 +337,7 @@ class TestUpdateZ:
 
 class TestResiduals:
     def test_all_zero_state(self, toy):
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         err_w, err_mu, err_y, err_eq, err = oracles.residuals(st, toy.schur)
         assert err_w == 0.0
         assert err_mu == 0.5  # |1 + 0 + 0| / 2
@@ -348,9 +350,9 @@ class TestResiduals:
         mu_star = 2.0
         g_star = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
         z1 = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
-        y = ConsensusVector(w_star.copy(), g_star[None, :, :].copy(), mu_star)
-        z = ConsensusVector(np.zeros((2, 2)), z1[None, :, :].copy(), 0.0)
-        st = solver.SolverState(w=w_star, mu=mu_star, y=y, z=z)
+        y = (w_star, g_star, mu_star)
+        z = (np.zeros((2, 2)), z1, 0.0)
+        st = oracles.make_state(toy.schur, w_star, mu_star, y, z)
         err_w, err_mu, err_y, err_eq, err = oracles.residuals(st, toy.schur)
         assert err_w <= 1e-14
         assert err_mu <= 1e-14
@@ -376,7 +378,7 @@ class TestStructuredSteps:
         rng = np.random.default_rng(44)
         for _ in range(3):
             st = random_state(rng, built)
-            zs = st.z.like(st.z.flat / cfg.sigma)
+            zs = ConsensusVector(st.z.flat / cfg.sigma, built.schur.p, built.schur.r)
             mu_bar = float(rng.standard_normal())
             w = solver.update_w(st, built.schur, mu_bar, zs)
             assert w.tobytes() == oracles.update_w_dense(st, built.schur, mu_bar, zs).tobytes()
@@ -444,7 +446,7 @@ class TestSolveToy:
 
     def test_cone_feasibility_along_iterations(self, toy):
         cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
-        st = solver.init(toy.schur)
+        st = solver.SolverState(toy.schur)
         for _ in range(25):
             st.y = oracles.update_y(st, toy.schur, cfg)
             mu_bar = oracles.backward_mu(st, toy.schur, cfg)
@@ -528,7 +530,7 @@ class TestHistory:
         def refuse(*fields):
             raise AssertionError("a history row was built inside the loop")
 
-        monkeypatch.setattr(solver, "_entry", refuse)
+        monkeypatch.setattr(solver, "HistoryEntry", refuse)
         sol = hg.solve(toy.schur, hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6))
         assert sol.status == hg.CONVERGED and len(sol.history) == sol.iters + 1
 
@@ -613,11 +615,11 @@ class TestNonFiniteIterates:
     @pytest.mark.parametrize("bad", ["W", "Z"])
     def test_nan_start_is_a_numerical_failure(self, toy, bad, monkeypatch):
         w = np.full((2, 2), np.nan) if bad == "W" else np.eye(2)
-        z = solver.init(toy.schur).z
+        start = solver.SolverState(toy.schur)
+        start.w, start.mu = w, 1.0
         if bad == "Z":
-            z.yi[0, 0, 0] = np.nan
-        start = solver.SolverState(w=w, mu=1.0, y=solver.init(toy.schur).y, z=z)
-        monkeypatch.setattr(solver, "init", lambda schur: start)
+            start.z.yi[0, 0, 0] = np.nan
+        monkeypatch.setattr(solver, "SolverState", lambda schur: start)
         sol = hg.solve(toy.schur, hg.SolverConfig())
         assert sol.status == hg.NUMERICAL_FAILURE
         assert sol.iters == 0 and sol.history == []
