@@ -259,14 +259,12 @@ def _vertex_rows(
     return rows
 
 
-def _write_history_csv(path: str, history) -> None:
+def _write_history_csv(path: str, history: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,err_W,err_mu,err_Y,err_eq,err,mu\n")
-        for h in history:
-            fh.write(
-                f"{h.k},{_fmt(h.err_w)},{_fmt(h.err_mu)},{_fmt(h.err_y)},"
-                f"{_fmt(h.err_eq)},{_fmt(h.err)},{_fmt(h.mu)}\n"
-            )
+        # row by row: the whole array's tolist() would build every row at once
+        for k, row in enumerate(history):
+            fh.write(f"{k},{','.join(map(_fmt, row.tolist()))}\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -318,7 +316,9 @@ def cmd_solve(args) -> int:
             cert = verify_mod.certified_attenuation(ext, sol.W_star)
             if cert is not None:
                 report["mu_certified"], report["gamma_certified"] = cert
-            feas = verify_mod.check_feasibility(ext, sol.W_star, sol.mu_star, args.tol)
+            # the table describes the certified pair when there is one
+            mu = sol.mu_star if cert is None else cert[0]
+            feas = verify_mod.check_feasibility(ext, sol.W_star, mu, args.tol)
             rows = _vertex_rows(plant, vset, sol.K_star, feas)
         except HinfgccError as exc:
             # the solve's outcome is still worth a report (a numerical
@@ -327,6 +327,7 @@ def cmd_solve(args) -> int:
             report["verification"] = {"error": str(exc)}
         else:
             report["verification"] = {
+                "mu": mu,
                 "feasibility_tol": args.tol,
                 "vertices": rows,
                 "all_stable": all(r["stable"] for r in rows),

@@ -50,6 +50,8 @@ class PlantModel:
             raise DimensionError("B1 must have at least one column (a disturbance input)")
         if self.B2.shape[0] != n:
             raise DimensionError(f"B2 must have {n} rows, got {self.B2.shape}")
+        if self.B2.shape[1] == 0:
+            raise DimensionError("B2 must have at least one column (a control input)")
         if self.C.shape[1] != n:
             raise DimensionError(f"C must have {n} columns, got {self.C.shape}")
         if self.D.shape != (self.C.shape[0], self.B2.shape[1]):

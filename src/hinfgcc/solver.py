@@ -36,9 +36,9 @@ Each piece of work is done once per iteration:
   - All of a solve's memory lives in its SolverState: SolverState(schur) is
     the all-zero start, and it allocates W, the workspace, the projection
     stacks and the history once. The history is the one thing that grows
-    with the iteration count: each iteration writes six floats (the fields
-    of HistoryEntry after k, which is the row's index) into one row of a
-    float64 array (History) that grows by a quarter when full, 48 B per row
+    with the iteration count: each iteration writes one row of six named
+    float64 fields (HISTORY_DTYPE; k is the row's index) into a structured
+    array that is replaced by one a quarter larger when full, 48 B per row
     plus at most a quarter spare; the stopping rule compares the err that
     _record returns, so no row object is built in the loop.
 
@@ -64,11 +64,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,72 +146,11 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-class HistoryEntry(NamedTuple):
-    k: int
-    err_w: float
-    err_mu: float
-    err_y: float
-    err_eq: float
-    err: float
-    mu: float
-
-
-# floats per history row: the six fields after k, which is the row's index
-_WIDTH = len(HistoryEntry._fields) - 1
-
-
-class History(Sequence):
-    """The rows of a run's history, kept in one float64 array.
-
-    Row k of the (capacity, 6) array holds err_w, err_mu, err_y, err_eq, err
-    and mu of iteration k; k itself is the row's index. When it is full, a
-    new array a quarter larger takes its rows, so appending is amortized
-    O(1), and the history takes 48 B per row plus at most a quarter spare,
-    where a HistoryEntry of boxed floats takes 264. Reading gives
-    HistoryEntry rows, with k an int and the rest Python floats; a slice is
-    a list of rows, and a History equals a list of the same rows.
-    """
-
-    __slots__ = ("_rows", "_n")
-
-    def __init__(self):
-        self._rows = np.empty((16, _WIDTH))
-        self._n = 0
-
-    def append(self, err_w: float, err_mu: float, err_y: float, err_eq: float, err: float,
-               mu: float) -> None:
-        if self._n == len(self._rows):
-            grown = np.empty((len(self._rows) * 5 // 4, _WIDTH))
-            grown[: self._n] = self._rows
-            self._rows = grown
-        self._rows[self._n] = (err_w, err_mu, err_y, err_eq, err, mu)
-        self._n += 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._n))]
-        i = operator.index(index)
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError("history index out of range")
-        return HistoryEntry(i, *self._rows[i].tolist())
-
-    def __iter__(self):
-        # row by row, so that reading a long history builds no list of it
-        rows = self._rows
-        return (HistoryEntry(i, *rows[i].tolist()) for i in range(self._n))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (History, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"History({list(self)!r})"
+# One history row per iteration: the four relative KKT residuals, their
+# max (the err the stopping rule compares) and mu; k is the row's index.
+HISTORY_DTYPE = np.dtype(
+    [(name, np.float64) for name in ("err_w", "err_mu", "err_y", "err_eq", "err", "mu")]
+)
 
 
 class SolverState:
@@ -222,8 +158,10 @@ class SolverState:
     Z), its iteration count k, the history and the buffers the steps write
     into. SolverState(schur) is the all-zero start the loop runs from.
 
-    The history is a History, to which _record appends one row per
-    iteration; it is the only part that grows with k. The workspace is one
+    The history is an array of HISTORY_DTYPE whose first history_len rows
+    are written; _record writes row k. It starts at 16 rows and, when full,
+    is replaced by one a quarter larger, so it is the only part that grows
+    with k: 48 B per row plus at most a quarter spare. The workspace is one
     zeroed (7, L) array, L the length of a consensus vector, whose rows hold
     Y, Z, the consensus map h, Y - h, Y - Pi(Y - Z), Z/sigma and the Z step,
     each seen through a ConsensusVector; the residuals take norms of the
@@ -237,7 +175,8 @@ class SolverState:
         self.w = np.zeros((p, p))
         self.mu = 0.0
         self.k = 0
-        self.history = History()
+        self.history = np.empty(16, HISTORY_DTYPE)
+        self.history_len = 0
         self.rows = np.zeros((7, p * p + N * r * r + 1))
         self.y, self.z, self.h, self.eq, self.gap, self.zs, self.step = (
             ConsensusVector(row, p, r) for row in self.rows
@@ -249,8 +188,10 @@ class SolverState:
 @dataclass
 class Solution:
     """Outcome of solve: W*, mu*, the gain and gamma estimate (None on a
-    numerical failure), the status, the iteration count and the history,
-    a History of iters + 1 rows (rows 0..iters) read as HistoryEntry rows.
+    numerical failure), the status, the iteration count and the history:
+    a view of the solve's HISTORY_DTYPE array, whose row k (history[k]["err"],
+    a column as history["err"]) is iteration k's. It has iters + 1 rows, or
+    none when row 0 never completes (e.g. a NaN start).
     """
 
     W_star: np.ndarray
@@ -259,7 +200,7 @@ class Solution:
     gamma_star: float | None
     status: str
     iters: int
-    history: History
+    history: np.ndarray
 
 
 def update_y(
@@ -425,14 +366,14 @@ def _write_hmap(state: SolverState, schur: SchurData, lin: np.ndarray) -> None:
 
 
 def _record(state: SolverState, schur: SchurData, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Append history row k; return its err, which the stopping rule
+    """Write history row k; return its err, which the stopping rule
     compares, and the next Y step's projections of W - Z0/sigma and of
     G - Z/sigma.
 
     The state's pair0 and pairi get the blocks of Y - Z in their first half
     and the targets in their second. Each pair is projected in one call,
     the vertex pair into state.proj, and a breakdown raises before row k is
-    appended.
+    written.
     """
     y, z, zs = state.y, state.z, state.zs
     pair0, pairi = state.pair0, state.pairi
@@ -444,8 +385,13 @@ def _record(state: SolverState, schur: SchurData, k: int) -> tuple[float, np.nda
     proj0 = kernels.project_psd(pair0)
     proji = kernels.project_psd_stack(pairi, out=state.proj)
     err_w, err_mu, err_y, err_eq, err = residuals(state, schur, proj0[0], proji[:n])
+    if k == len(state.history):
+        grown = np.empty(k * 5 // 4, HISTORY_DTYPE)
+        grown[:k] = state.history
+        state.history = grown
+    state.history[k] = (err_w, err_mu, err_y, err_eq, err, state.mu)
     state.k = k
-    state.history.append(err_w, err_mu, err_y, err_eq, err, state.mu)
+    state.history_len = k + 1
     return err, proj0[1], proji[n:]
 
 
@@ -505,5 +451,5 @@ def solve(schur: SchurData, config: SolverConfig) -> Solution:
         gamma_star=gamma,
         status=status,
         iters=state.k,
-        history=state.history,
+        history=state.history[: state.history_len],
     )

@@ -77,6 +77,23 @@ class TestSolveCommand:
         assert len(lines) - 1 == report["iters"] + 1
         assert all("." in field or field.isdigit() for field in lines[2].split(","))
 
+    def test_history_csv_writes_each_row_in_full(self, tmp_path):
+        # by hand, so that the format is pinned apart from the solver's numbers
+        history = np.array([
+            (0.5, 5e-324, 0.25, -0.0, 0.5, 0.0),
+            (1e308, 1.7976931348623157e308, 3.0, 1.0, 1.7976931348623157e308, 2.0),
+            (0.1, 0.2, 0.3, 0.4, 0.4, -1.5),
+        ], dtype=hinfgcc.solver.HISTORY_DTYPE)
+        path = tmp_path / "h.csv"
+        cli._write_history_csv(str(path), history)
+        assert path.read_bytes() == (
+            b"k,err_W,err_mu,err_Y,err_eq,err,mu\n"
+            b"0,0.5,4.9406564584124654e-324,0.25,-0,0.5,0\n"
+            b"1,1e+308,1.7976931348623157e+308,3,1,1.7976931348623157e+308,2\n"
+            b"2,0.10000000000000001,0.20000000000000001,0.29999999999999999,"
+            b"0.40000000000000002,0.40000000000000002,-1.5\n"
+        )
+
     def test_aircraft_example_reproduces_attenuation(self, in_tmp):
         problem = hinfgcc.fixture_path("example1.json")
         out = in_tmp / "ex1.json"
@@ -217,6 +234,10 @@ class TestCertifiedHeadline:
         assert gamma == 1.0 / math.sqrt(mu)
         peaks = [row["sweep_peak"] for row in report["verification"]["vertices"]]
         assert len(peaks) == 256 and max(peaks) <= gamma
+        # the table describes the certified pair, as the headline does
+        table = report["verification"]
+        assert table["mu"] == mu and table["feasibility_passed"] is True
+        assert all(row["feasible"] for row in table["vertices"])
         # the ADMM estimate alone does not bound the worst vertex
         assert report["gamma_star"] < max(peaks)
         lines = capsys.readouterr().out.splitlines()
@@ -231,6 +252,7 @@ class TestCertifiedHeadline:
         report = json.loads(out.read_text())
         assert report["gamma_certified"] is None and report["mu_certified"] is None
         assert report["gamma_star"] is not None
+        assert report["verification"]["mu"] == report["mu_star"]
         assert "certified gamma: none" in capsys.readouterr().out
 
     def test_failed_run_has_no_certificate(self, toy_file, in_tmp, capsys):
@@ -275,7 +297,7 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         gain = write_json(
             in_tmp / "roundtrip.json",
-            {"K": report["K_star"], "W": report["W_star"], "mu": report["mu_star"]},
+            {"K": report["K_star"], "W": report["W_star"], "mu": report["verification"]["mu"]},
         )
         vout = in_tmp / "reverify.json"
         assert cli.main(["verify", toy_file, str(gain), "--out", str(vout)]) == 0
@@ -295,17 +317,25 @@ class TestVerifyCommand:
         out = in_tmp / "sol.json"
         assert cli.main(["solve", toy_file, *flags, "--eps", "1e-12", "--out", str(out)]) == 4
         report = json.loads(out.read_text())
-        assert all(r["feasible"] for r in report["verification"]["vertices"])
-        gain = write_json(
-            in_tmp / "roundtrip.json",
-            {"K": report["K_star"], "W": report["W_star"], "mu": report["mu_star"]},
-        )
-        vout = in_tmp / "reverify.json"
-        assert cli.main(["verify", toy_file, str(gain), "--out", str(vout)]) == 0
-        vreport = json.loads(vout.read_text())
+        table = report["verification"]
+        assert all(r["feasible"] for r in table["vertices"])
+
+        def reverify(mu):
+            gain = write_json(
+                in_tmp / "roundtrip.json", {"K": report["K_star"], "W": report["W_star"], "mu": mu}
+            )
+            vout = in_tmp / "reverify.json"
+            assert cli.main(["verify", toy_file, str(gain), "--out", str(vout)]) == 0
+            return json.loads(vout.read_text())
+
+        # verify at the table's mu gives the table's verdicts
+        vreport = reverify(table["mu"])
+        assert vreport["feasibility_passed"] is table["feasibility_passed"]
+        assert [r["feasible"] for r in vreport["vertices"]] == [r["feasible"] for r in table["vertices"]]
+        # at mu* the side condition fails
+        vreport = reverify(report["mu_star"])
         assert vreport[failing] < -1e-6
         assert vreport["feasibility_passed"] is False
-        assert report["verification"]["feasibility_passed"] is False
 
     def test_no_feasibility_tol_without_mu(self, toy_file, in_tmp):
         gain = write_json(in_tmp / "w_only.json", {"K": [[1.0]], "W": [[1.0, 1.0], [1.0, 2.0]]})
@@ -390,6 +420,21 @@ class TestNoDisturbanceInput:
         assert err.startswith("error:") and "B1 must have at least one column" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in in_tmp.iterdir()) == ["k.json", "nob1.json"]
+
+
+class TestNoControlInput:
+    """A plant whose B2 has no column is a dimension error, not an
+    assumption error about an empty D^T D: exit 2 with a message naming B2."""
+
+    @pytest.mark.parametrize("command", ["enumerate", "solve", "verify"])
+    def test_exits_2_naming_b2(self, tmp_path, in_tmp, capsys, command):
+        problem = write_json(tmp_path / "nob2.json", dict(TOY_PROBLEM, B2=[[]], D=[[], []]))
+        gain = write_json(tmp_path / "k.json", {"K": [[1]]})
+        assert cli.main([command, problem] + ([gain] if command == "verify" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "B2 must have at least one column" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["k.json", "nob2.json"]
 
 
 class TestZeroResponseLoop:

@@ -21,6 +21,12 @@ class TestPlantModel:
         with pytest.raises(hg.DimensionError, match="B1 must have at least one column"):
             hg.PlantModel(A=[[-1.0]], B1=b1, B2=[[1.0]], C=[[1.0], [0.0]], D=[[0.0], [1.0]])
 
+    @pytest.mark.parametrize("b2", [[[]], np.zeros((1, 0))], ids=["empty-row", "no-column"])
+    def test_control_input_required(self, b2):
+        # a plant without a control column has no gain to synthesize
+        with pytest.raises(hg.DimensionError, match="B2 must have at least one column"):
+            hg.PlantModel(A=[[-1.0]], B1=[[1.0]], B2=b2, C=[[1.0], [0.0]], D=np.zeros((2, 0)))
+
     def test_dimensions_exposed(self):
         p = make_example1_plant()
         assert (p.n, p.m, p.l, p.q) == (3, 1, 3, 3)

@@ -106,7 +106,7 @@ class TestInit:
         assert not st.w.any() and st.mu == 0.0
         assert not st.y.y0.any() and not st.y.yi.any() and st.y.ylast == 0.0
         assert not st.z.y0.any() and st.k == 0
-        assert not st.rows.any() and st.history == []
+        assert not st.rows.any() and st.history_len == 0
         s = toy.schur
         assert st.pair0.shape == (2, s.p, s.p)
         assert st.pairi.shape == st.proj.shape == (2 * s.N, s.r, s.r)
@@ -431,11 +431,10 @@ class TestSolveToy:
         assert toy_solution.mu_star == pytest.approx(2.0, rel=1e-3)
 
     def test_history_records_every_iteration(self, toy_solution):
-        ks = [h.k for h in toy_solution.history]
-        assert ks == list(range(toy_solution.iters + 1))
+        assert len(toy_solution.history) == toy_solution.iters + 1
         final = toy_solution.history[-1]
-        assert final.err < 1e-6
-        assert final.err == max(final.err_w, final.err_mu, final.err_y, final.err_eq)
+        assert final["err"] < 1e-6
+        assert final["err"] == max(final["err_w"], final["err_mu"], final["err_y"], final["err_eq"])
 
     def test_final_iterate_near_feasible(self, toy, toy_solution):
         # converged solutions sit within ~10 eps of the constraint surface
@@ -461,7 +460,7 @@ class TestSolveToy:
         cfg = hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6)
         a = hg.solve(toy.schur, cfg)
         b = hg.solve(toy.schur, cfg)
-        assert [tuple(h) for h in a.history] == [tuple(h) for h in b.history]
+        assert a.history.tobytes() == b.history.tobytes()
 
     def test_max_iters_status(self, toy):
         sol = hg.solve(toy.schur, hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-14, max_iters=5))
@@ -486,8 +485,8 @@ class TestSolveToy:
 
 
 class TestHistory:
-    """Solution.history keeps its rows in one float64 buffer and reads as a
-    sequence of HistoryEntry rows."""
+    """Solution.history is a structured array of HISTORY_DTYPE, one row per
+    iteration with k as the row index."""
 
     def test_retains_under_80_bytes_per_row(self, toy):
         # a fixed-length run: eps is never met, so the run makes 2,001 rows;
@@ -506,33 +505,14 @@ class TestHistory:
         assert len(sol.history) == 2001
         assert retained / len(sol.history) <= 80.0
 
-    def test_sequence_contract(self, toy_solution):
+    def test_array_contract(self, toy_solution):
         h = toy_solution.history
-        rows = list(h)
-        n = len(h)
-        assert n == toy_solution.iters + 1 == len(rows)
-        assert [r.k for r in h] == list(range(n))
-        assert h[-1] == rows[-1] and h[-n] == rows[0] and h[np.int64(2)] == rows[2]
-        part = h[1:6:2]
-        assert type(part) is list and part == rows[1:6:2]
-        assert all(type(r) is solver.HistoryEntry for r in part)
-        assert h[::-1] == rows[::-1] and h[n:] == []
-        for bad in (n, -n - 1):
-            with pytest.raises(IndexError):
-                h[bad]
-        assert h == rows and rows == h
-        assert h != rows[:-1] and h != rows[::-1]
-        for r in h:
-            assert type(r.k) is int
-            assert all(type(v) is float for v in r[1:])
-
-    def test_stopping_rule_builds_no_row(self, toy, monkeypatch):
-        def refuse(*fields):
-            raise AssertionError("a history row was built inside the loop")
-
-        monkeypatch.setattr(solver, "HistoryEntry", refuse)
-        sol = hg.solve(toy.schur, hg.SolverConfig(sigma=1.0, tau=1.618, eps=1e-6))
-        assert sol.status == hg.CONVERGED and len(sol.history) == sol.iters + 1
+        assert h.dtype == solver.HISTORY_DTYPE
+        assert h.dtype.names == ("err_w", "err_mu", "err_y", "err_eq", "err", "mu")
+        assert h.shape == (toy_solution.iters + 1,)
+        four = np.column_stack([h["err_w"], h["err_mu"], h["err_y"], h["err_eq"]])
+        assert np.array_equal(h["err"], four.max(axis=1))
+        assert h[-1]["mu"] == toy_solution.mu_star
 
 
 class TestExtractGain:
@@ -603,7 +583,7 @@ class TestNonFiniteIterates:
             sol = hg.solve(schur, hg.SolverConfig(sigma=sigma, eps=eps, max_iters=2000))
         assert sol.status != hg.CONVERGED
         assert sol.K_star is None
-        assert [h.k for h in sol.history] == list(range(sol.iters + 1))
+        assert len(sol.history) == sol.iters + 1
 
     @pytest.mark.parametrize("sigma", [1e-200, 1e200])
     def test_overflow_is_a_numerical_failure(self, toy, sigma):
@@ -622,7 +602,8 @@ class TestNonFiniteIterates:
         monkeypatch.setattr(solver, "SolverState", lambda schur: start)
         sol = hg.solve(toy.schur, hg.SolverConfig())
         assert sol.status == hg.NUMERICAL_FAILURE
-        assert sol.iters == 0 and sol.history == []
+        assert sol.iters == 0 and sol.history.shape == (0,)
+        assert sol.history.dtype == solver.HISTORY_DTYPE
         # a failed run reports no gain, whatever W it stopped at
         assert sol.K_star is None
 
@@ -746,9 +727,10 @@ class TestFusedIterationMatchesReference:
         assert sol.status == hg.MAX_ITERS and sol.iters == cfg.max_iters
         assert sol.W_star.tobytes() == w.tobytes()
         assert sol.mu_star == mu
-        got = np.array([h[1:5] for h in sol.history])
+        h = sol.history
+        got = np.column_stack([h["err_w"], h["err_mu"], h["err_y"], h["err_eq"]])
         npt.assert_allclose(got, np.array(rows), rtol=1e-12, atol=0.0)
-        assert [h.err for h in sol.history] == [max(h[1:5]) for h in sol.history]
+        assert np.array_equal(h["err"], got.max(axis=1))
 
 
 class TestResidualsFromDefinition:
@@ -820,7 +802,7 @@ class TestProjectionBreakdown:
         assert sol.status == hg.NUMERICAL_FAILURE
         assert sol.iters == max(j - 2, 0)
         assert sol.K_star is None
-        assert [tuple(h) for h in sol.history] == [tuple(h) for h in clean.history[: j - 1]]
+        assert sol.history.tobytes() == clean.history[: j - 1].tobytes()
 
 
 class TestPinnedIterationCounts:
