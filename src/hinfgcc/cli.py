@@ -38,7 +38,7 @@ from .model import (
     enumerate_vertices,
     validate_plant,
 )
-from .problem import build_extended, build_schur
+from .problem import ExtendedMatrices, build_extended, build_schur
 from .solver import CONVERGED, MAX_ITERS, SolverConfig
 
 EXIT_OK = 0
@@ -46,10 +46,6 @@ EXIT_SCHEMA = 2
 EXIT_ASSUMPTION = 3
 EXIT_MAX_ITERS = 4
 EXIT_NUMERICAL = 5
-
-# the SolverConfig fields a problem file's "solver" object and the solve
-# command's flags may set
-_SOLVER_KEYS = ("sigma", "tau", "eps", "max_iters")
 
 # the sweep command's default grid: log-spaced over [1e-3, 1e4] rad/s
 SWEEP_FMIN = 1e-3
@@ -187,7 +183,7 @@ def load_problem(path: str) -> tuple[PlantModel, UncertaintySpec, dict]:
 
     settings = data.get("solver", {})
     _require(isinstance(settings, dict), "solver must be an object")
-    extra = set(settings).difference(_SOLVER_KEYS)
+    extra = set(settings).difference(f.name for f in dataclasses.fields(SolverConfig))
     _require(not extra, f"unknown solver keys: {sorted(extra)}")
     _config(settings)
     return plant, spec, dict(settings)
@@ -226,19 +222,23 @@ def _config(settings: dict) -> SolverConfig:
 
 def _solver_config(settings: dict, args) -> SolverConfig:
     merged = dict(settings)
-    for name in _SOLVER_KEYS:
-        if getattr(args, name) is not None:
-            merged[name] = getattr(args, name)
+    for field in dataclasses.fields(SolverConfig):
+        if getattr(args, field.name) is not None:
+            merged[field.name] = getattr(args, field.name)
     return _config(merged)
 
 
-def _vertex_rows(
-    plant: PlantModel,
-    vset: VertexSet,
-    gain: np.ndarray,
-    feas: verify_mod.FeasibilityReport | None,
-) -> list[dict]:
-    """Per-vertex margin + H-infinity norm (+ feasibility when a report is given)."""
+def _verification_table(plant: PlantModel, vset: VertexSet, ext: ExtendedMatrices,
+                        gain: np.ndarray, w, mu, tol: float) -> dict:
+    """The table of solve and verify: per-vertex margin and H-infinity norm,
+    plus the feasibility of (W, mu) when both are given."""
+    feas = None
+    if w is not None and mu is not None:
+        try:
+            feas = verify_mod.check_feasibility(ext, w, mu, tol)
+        except InvalidInputError as exc:
+            # W and mu are finite, so the stability blocks overflowed
+            raise SchemaError(f"W and mu are too large for the feasibility check: {exc}") from exc
     rows = []
     for i in range(vset.N):
         cl = verify_mod.closed_loop(plant, vset[i], gain, index=i)
@@ -256,12 +256,17 @@ def _vertex_rows(
             row["theta1_max_eig"] = feas.per_vertex[i].theta1_max_eig
             row["feasible"] = feas.per_vertex[i].feasible
         rows.append(row)
-    return rows
+    all_stable = all(r["stable"] for r in rows)
+    table = {"feasibility_tol": None, "vertices": rows, "all_stable": all_stable}
+    if feas is not None:
+        table.update(feasibility_tol=tol, feasibility_passed=feas.passed,
+                     w_min_eig=feas.w_min_eig, mu=mu)
+    return table
 
 
 def _write_history_csv(path: str, history: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,err_W,err_mu,err_Y,err_eq,err,mu\n")
+        fh.write("k," + ",".join(history.dtype.names) + "\n")
         # row by row: the whole array's tolist() would build every row at once
         for k, row in enumerate(history):
             fh.write(f"{k},{','.join(map(_fmt, row.tolist()))}\n")
@@ -318,22 +323,15 @@ def cmd_solve(args) -> int:
                 report["mu_certified"], report["gamma_certified"] = cert
             # the table describes the certified pair when there is one
             mu = sol.mu_star if cert is None else cert[0]
-            feas = verify_mod.check_feasibility(ext, sol.W_star, mu, args.tol)
-            rows = _vertex_rows(plant, vset, sol.K_star, feas)
+            table = _verification_table(plant, vset, ext, sol.K_star, sol.W_star, mu, args.tol)
         except HinfgccError as exc:
             # the solve's outcome is still worth a report (a numerical
             # failure can leave a W the table cannot evaluate)
             print(f"warning: verification failed: {exc}", file=sys.stderr)
             report["verification"] = {"error": str(exc)}
         else:
-            report["verification"] = {
-                "mu": mu,
-                "feasibility_tol": args.tol,
-                "vertices": rows,
-                "all_stable": all(r["stable"] for r in rows),
-                "feasibility_passed": feas.passed,
-            }
-            peaks = [r["sweep_peak"] for r in rows if r["sweep_peak"] is not None]
+            report["verification"] = table
+            peaks = [r["sweep_peak"] for r in table["vertices"] if r["sweep_peak"] is not None]
     _write_json(out, report)
 
     _say(f"status: {sol.status} after {sol.iters} iterations ({wall:.2f} s)")
@@ -359,27 +357,9 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     plant, _, _, vset, ext = _pipeline(args.problem)
     gain, w, mu = load_gain(args.gain, plant)
-    feas = None
-    if w is not None and mu is not None:
-        try:
-            feas = verify_mod.check_feasibility(ext, w, mu, args.tol)
-        except InvalidInputError as exc:
-            # the loader took W and mu finite, so the stability blocks overflowed
-            raise SchemaError(
-                "the gain file's W and mu are too large for the feasibility check: "
-                "its stability blocks overflow"
-            ) from exc
-    rows = _vertex_rows(plant, vset, gain, feas)
-    report = {
-        "K": gain.tolist(),
-        "feasibility_tol": args.tol if feas is not None else None,
-        "vertices": rows,
-        "all_stable": all(r["stable"] for r in rows),
-    }
-    if feas is not None:
-        report["feasibility_passed"] = feas.passed
-        report["w_min_eig"] = feas.w_min_eig
-        report["mu"] = mu
+    table = _verification_table(plant, vset, ext, gain, w, mu, args.tol)
+    rows = table["vertices"]
+    report = {"K": gain.tolist(), **table}
     out = args.out or "verify_report.json"
     _write_json(out, report)
     worst = max(rows, key=lambda r: r["stability_margin"])
@@ -502,10 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="synthesize a gain and verify it")
     add_common(p_solve)
-    p_solve.add_argument("--sigma", type=_finite_float, default=None)
-    p_solve.add_argument("--tau", type=_finite_float, default=None)
-    p_solve.add_argument("--eps", type=_finite_float, default=None)
-    p_solve.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    for field in dataclasses.fields(SolverConfig):
+        kind = int if isinstance(field.default, int) else _finite_float
+        p_solve.add_argument("--" + field.name.replace("_", "-"), dest=field.name, type=kind)
     p_solve.add_argument("--tol", type=_finite_float, default=1e-6,
                          help="feasibility tolerance for the verification table")
     p_solve.set_defaults(func=cmd_solve)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .errors import DimensionError
 from .model import PlantModel, VertexSet
 
 
@@ -160,9 +161,12 @@ def eval_theta1(ext: ExtendedMatrices, w: np.ndarray, mu: float) -> np.ndarray:
         + W1 C^T C W1 + W2 D^T D W2^T + mu B1 B1^T.
 
     Entries that overflow come back as inf or nan, without a warning; the
-    eigenvalue kernels reject them.
+    eigenvalue kernels reject them. A W that is not p x p raises
+    DimensionError.
     """
-    n = ext.n
+    p, n = ext.p, ext.n
+    if w.shape != (p, p):
+        raise DimensionError(f"W must be {p}x{p}, got {w.shape}")
     a, b2, w1, w2 = ext.A, ext.B2, w[:n, :n], w[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         out = (

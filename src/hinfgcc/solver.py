@@ -146,10 +146,11 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-# One history row per iteration: the four relative KKT residuals, their
-# max (the err the stopping rule compares) and mu; k is the row's index.
+# One history row per iteration: the four relative KKT residuals, named as
+# in residuals, their max (the err the stopping rule compares) and mu; k is
+# the row's index. The CLI's history CSV header is k and these names.
 HISTORY_DTYPE = np.dtype(
-    [(name, np.float64) for name in ("err_w", "err_mu", "err_y", "err_eq", "err", "mu")]
+    [(name, np.float64) for name in ("err_W", "err_mu", "err_Y", "err_eq", "err", "mu")]
 )
 
 

@@ -206,7 +206,8 @@ class FeasibilityReport:
 def check_feasibility(
     ext: ExtendedMatrices, w: np.ndarray, mu: float, tol: float = 1e-6
 ) -> FeasibilityReport:
-    """Evaluate the stability block at every vertex; pass iff max eig <= tol."""
+    """Evaluate the stability block at every vertex; pass iff max eig <= tol.
+    A W that is not p x p raises DimensionError."""
     max_eig = kernels.max_eigs(eval_theta1(ext, w, mu))
     rows = tuple(VertexFeasibility(i, float(e), float(e) <= tol) for i, e in enumerate(max_eig))
     w_min = float(kernels.sym_eig(w).eigenvalues[-1])
@@ -238,13 +239,15 @@ def certified_attenuation(
     Returns None when the state block W1 of W is not positive definite (the
     bounded real lemma needs W1 > 0, and without it the gain W encodes may
     destabilize the plant), when some -theta1_i(W, 0) is not positive
-    definite, or when no mu > 0 passes the check.
+    definite, or when no mu > 0 passes the check. A W that is not p x p
+    raises DimensionError, whatever its state block.
     """
     n = ext.n
+    theta0 = eval_theta1(ext, w, 0.0)
     if not float(kernels.sym_eig(w[:n, :n]).eigenvalues[-1]) > 0.0:
         return None
     try:
-        lam = kernels.max_pencil_eigs(ext.B1B1t, -eval_theta1(ext, w, 0.0))
+        lam = kernels.max_pencil_eigs(ext.B1B1t, -theta0)
     except SingularSystemError:
         return None
     mu = 1.0 / max(float(lam.max()), 1.0 / MU_CERT_MAX)

@@ -1,5 +1,6 @@
 """End-to-end CLI flows against temporary problem/gain files."""
 
+import dataclasses
 import json
 import math
 import os
@@ -94,6 +95,14 @@ class TestSolveCommand:
             b"0.40000000000000002,0.40000000000000002,-1.5\n"
         )
 
+    def test_history_csv_header_follows_the_dtype(self, tmp_path):
+        dtype = np.dtype(hinfgcc.solver.HISTORY_DTYPE.descr + [("check", np.float64)])
+        path = tmp_path / "h.csv"
+        cli._write_history_csv(str(path), np.zeros(2, dtype))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,err_W,err_mu,err_Y,err_eq,err,mu,check"
+        assert [len(line.split(",")) for line in lines[1:]] == [8, 8]
+
     def test_aircraft_example_reproduces_attenuation(self, in_tmp):
         problem = hinfgcc.fixture_path("example1.json")
         out = in_tmp / "ex1.json"
@@ -124,6 +133,22 @@ class TestSolveCommand:
         block = json.loads(out.read_text())["solver"]
         assert list(block) == ["sigma", "tau", "eps", "max_iters"]
         assert block["tau"] == 1.5 and block["max_iters"] == 3
+
+    def test_new_config_field_is_a_key_and_a_flag(self, in_tmp, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Config(hinfgcc.SolverConfig):
+            check_every: int = 1
+
+        monkeypatch.setattr(cli, "SolverConfig", Config)
+        problem = write_json(
+            in_tmp / "p.json", dict(TOY_PROBLEM, solver={**TOY_PROBLEM["solver"], "check_every": 5})
+        )
+        out = in_tmp / "r.json"
+        for flags, value in (([], 5), (["--check-every", "7"], 7)):
+            assert cli.main(["solve", problem, "--max-iters", "3", *flags, "--out", str(out)]) == 4
+            block = json.loads(out.read_text())["solver"]
+            assert list(block) == ["sigma", "tau", "eps", "max_iters", "check_every"]
+            assert block["check_every"] == value
 
     @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
     def test_overflowing_sigma_exits_5(self, toy_file, in_tmp, sigma, capsys):
@@ -292,20 +317,20 @@ class TestVerifyCommand:
         assert any(not row["stable"] for row in report["vertices"])
 
     def test_round_trip_solution_reverifies(self, toy_file, in_tmp):
-        out = in_tmp / "sol.json"
-        assert cli.main(["solve", toy_file, "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        gain = write_json(
-            in_tmp / "roundtrip.json",
-            {"K": report["K_star"], "W": report["W_star"], "mu": report["verification"]["mu"]},
-        )
-        vout = in_tmp / "reverify.json"
-        assert cli.main(["verify", toy_file, str(gain), "--out", str(vout)]) == 0
-        vreport = json.loads(vout.read_text())
-        assert vreport["feasibility_passed"] == report["verification"]["feasibility_passed"]
-        assert [r["feasible"] for r in vreport["vertices"]] == [
-            r["feasible"] for r in report["verification"]["vertices"]
-        ]
+        for problem in (toy_file, hinfgcc.fixture_path("example2.json")):
+            out = in_tmp / "sol.json"
+            assert cli.main(["solve", problem, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            gain = write_json(
+                in_tmp / "roundtrip.json",
+                {"K": report["K_star"], "W": report["W_star"], "mu": report["verification"]["mu"]},
+            )
+            vout = in_tmp / "reverify.json"
+            assert cli.main(["verify", problem, str(gain), "--out", str(vout)]) == 0
+            vreport = json.loads(vout.read_text())
+            # one table: the verify report is the solve report's, key for key
+            assert vreport.pop("K") == report["K_star"]
+            assert list(vreport.items()) == list(report["verification"].items())
 
     @pytest.mark.parametrize("flags, failing", [
         # mu* < 0 with every vertex block feasible
@@ -319,6 +344,9 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         table = report["verification"]
         assert all(r["feasible"] for r in table["vertices"])
+        if failing == "w_min_eig":
+            # the report shows the failing side condition next to its verdict
+            assert table["w_min_eig"] < -1e-6 and table["feasibility_passed"] is False
 
         def reverify(mu):
             gain = write_json(

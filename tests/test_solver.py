@@ -434,7 +434,7 @@ class TestSolveToy:
         assert len(toy_solution.history) == toy_solution.iters + 1
         final = toy_solution.history[-1]
         assert final["err"] < 1e-6
-        assert final["err"] == max(final["err_w"], final["err_mu"], final["err_y"], final["err_eq"])
+        assert final["err"] == max(final["err_W"], final["err_mu"], final["err_Y"], final["err_eq"])
 
     def test_final_iterate_near_feasible(self, toy, toy_solution):
         # converged solutions sit within ~10 eps of the constraint surface
@@ -508,9 +508,9 @@ class TestHistory:
     def test_array_contract(self, toy_solution):
         h = toy_solution.history
         assert h.dtype == solver.HISTORY_DTYPE
-        assert h.dtype.names == ("err_w", "err_mu", "err_y", "err_eq", "err", "mu")
+        assert h.dtype.names == ("err_W", "err_mu", "err_Y", "err_eq", "err", "mu")
         assert h.shape == (toy_solution.iters + 1,)
-        four = np.column_stack([h["err_w"], h["err_mu"], h["err_y"], h["err_eq"]])
+        four = np.column_stack([h["err_W"], h["err_mu"], h["err_Y"], h["err_eq"]])
         assert np.array_equal(h["err"], four.max(axis=1))
         assert h[-1]["mu"] == toy_solution.mu_star
 
@@ -728,7 +728,7 @@ class TestFusedIterationMatchesReference:
         assert sol.W_star.tobytes() == w.tobytes()
         assert sol.mu_star == mu
         h = sol.history
-        got = np.column_stack([h["err_w"], h["err_mu"], h["err_y"], h["err_eq"]])
+        got = np.column_stack([h["err_W"], h["err_mu"], h["err_Y"], h["err_eq"]])
         npt.assert_allclose(got, np.array(rows), rtol=1e-12, atol=0.0)
         assert np.array_equal(h["err"], got.max(axis=1))
 

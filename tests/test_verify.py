@@ -436,6 +436,10 @@ class TestCheckFeasibility:
         with pytest.raises(hg.InvalidInputError):
             hg.check_feasibility(toy.ext, np.full((2, 2), 1e200), 1.0)
 
+    def test_w_of_the_wrong_shape_is_a_dimension_error(self, example2):
+        with pytest.raises(hg.DimensionError, match=r"W must be 4x4, got \(6, 6\)"):
+            hg.check_feasibility(example2.ext, np.eye(6), 0.01)
+
 
 class TestCertifiedAttenuation:
     def test_toy_certificate_is_exact(self, toy):
@@ -454,6 +458,12 @@ class TestCertifiedAttenuation:
         # the stability block alone is negative for small mu
         w = np.array([[-0.1, 1.0], [1.0, 0.5]])
         assert hg.certified_attenuation(toy.ext, w) is None
+
+    @pytest.mark.parametrize("w", [np.eye(3), np.zeros((3, 3))], ids=["definite", "zero"])
+    def test_w_of_the_wrong_shape_is_a_dimension_error(self, example2, w):
+        # whatever its state block, a W that is not p x p is not a None result
+        with pytest.raises(hg.DimensionError, match=r"W must be 4x4, got \(3, 3\)"):
+            hg.certified_attenuation(example2.ext, w)
 
     def test_infeasible_w_returns_none(self, toy):
         # W = 0 forces the stability block to mu * B1 B1^T which is never <= 0
